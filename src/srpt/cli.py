@@ -94,42 +94,34 @@ def _check_flag(name, value, expected, provenance) -> dict:
     }
 
 
-def _run_werner_bell(p: dict) -> dict:
-    bell = schmidt_state((1.0, 1.0), (2, 2))
-    a, b = werner_bipartite_pair(p["phi"])
-    family = lambda x: werner(bell, x)
-    srpt_res = threshold_scan(family, a, b, tol=p["tol"])
-    ppt_res = ppt_threshold_scan(family, tol=p["tol"])
+def _threshold_case(family, a, b, tol, srpt_expected, srpt_note, ppt_expected, ppt_note) -> dict:
+    """SRPT and PPT bisection scans of one family against their theoretical thresholds."""
+    srpt_res = threshold_scan(family, a, b, tol=tol)
+    ppt_res = ppt_threshold_scan(family, tol=tol)
     checks = [
-        _check_close("srpt_threshold", srpt_res.x_critical, 0.5, 1e-6,
-                     "theory: detected when x > 1/2"),
-        _check_close("ppt_threshold", ppt_res.x_critical, 1.0 / 3.0, 1e-6,
-                     "theory: entangled iff x > 1/3"),
+        _check_close("srpt_threshold", srpt_res.x_critical, srpt_expected, 1e-6, srpt_note),
+        _check_close("ppt_threshold", ppt_res.x_critical, ppt_expected, 1e-6, ppt_note),
     ]
     return {
         "results": {"srpt_scan": srpt_res.to_dict(), "ppt_scan": ppt_res.to_dict()},
         "checks": checks,
     }
+
+
+def _run_werner_bell(p: dict) -> dict:
+    bell = schmidt_state((1.0, 1.0), (2, 2))
+    return _threshold_case(lambda x: werner(bell, x), *werner_bipartite_pair(p["phi"]), p["tol"],
+                           0.5, "theory: detected when x > 1/2",
+                           1.0 / 3.0, "theory: entangled iff x > 1/3")
 
 
 def _run_ghzn_scan(p: dict) -> dict:
     n = p["n"]
     if n < 2:
         raise ValueError(f"need n >= 2 parties, got {n}")
-    a, b = werner_multipartite_pair(n)
-    family = lambda x: werner(n, x)
-    srpt_res = threshold_scan(family, a, b, tol=p["tol"])
-    ppt_res = ppt_threshold_scan(family, tol=p["tol"])
-    checks = [
-        _check_close("srpt_threshold", srpt_res.x_critical, 1.0 / (1.0 + 2.0 ** (n - 2)),
-                     1e-6, "theory: violated if x > 1/(1+2^(N-2))"),
-        _check_close("ppt_threshold", ppt_res.x_critical, 1.0 / (1.0 + 2.0 ** (n - 1)),
-                     1e-6, "theory: PPT limit x > 1/(1+2^(N-1))"),
-    ]
-    return {
-        "results": {"srpt_scan": srpt_res.to_dict(), "ppt_scan": ppt_res.to_dict()},
-        "checks": checks,
-    }
+    return _threshold_case(lambda x: werner(n, x), *werner_multipartite_pair(n), p["tol"],
+                           1.0 / (1.0 + 2.0 ** (n - 2)), "theory: violated if x > 1/(1+2^(N-2))",
+                           1.0 / (1.0 + 2.0 ** (n - 1)), "theory: PPT limit x > 1/(1+2^(N-1))")
 
 
 def _run_cat(p: dict) -> dict:
@@ -454,45 +446,58 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
     return 0
 
 
+@dataclass(frozen=True)
+class WitnessSpec:
+    """A named `srpt witness` constructor: argument names and types in order,
+    and whether the HilbertSpace from --dims is passed first."""
+
+    build: Callable[..., tuple[Observable, ...]]
+    params: tuple[tuple[str, type], ...]
+    needs_dims: bool = False
+
+    def usage(self, name: str) -> str:
+        args = ",".join(arg for arg, _ in self.params)
+        return (f"{name}:{args}" if args else name) + (" --dims d1,d2" if self.needs_dims else "")
+
+
+def _prop2_single(*values: float) -> tuple[Observable]:
+    return (prop2_observable(Prop2Params.from_array(values)),)
+
+
+WITNESSES: dict[str, WitnessSpec] = {
+    "prop1": WitnessSpec(prop1_pair, (("i0", int), ("i1", int)), needs_dims=True),
+    "prop2": WitnessSpec(_prop2_single, tuple((f"{v}{i}", float) for v in "abcd"
+                                              for i in (1, 2, 3)) + (("eta", float),)),
+    "prop3": WitnessSpec(prop3_triple, (("which", int),)),
+    "osc2d": WitnessSpec(oscillator2d_pair, (("n", int),)),
+    "osc3d": WitnessSpec(oscillator3d_pair, (("n", int), ("m", int))),
+    "multiphoton": WitnessSpec(multiphoton_pair, ()),
+    "cat-quadratures": WitnessSpec(cat_quadratures, (("a1", float), ("a2", float), ("b1", float),
+                                                     ("b2", float), ("truncation", int))),
+    "werner-bipartite": WitnessSpec(werner_bipartite_pair, (("phi", float),)),
+    "werner-multipartite": WitnessSpec(werner_multipartite_pair, (("n", int),)),
+}
+
+
 def _parse_witness_descriptor(descriptor: str, dims: tuple[int, ...] | None):
     name, _, argtext = descriptor.partition(":")
-    args = [s for s in argtext.split(",") if s] if argtext else []
-    if name == "prop1":
+    args = [s for s in argtext.split(",") if s]
+    spec = WITNESSES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown witness descriptor {name!r} (known: {', '.join(WITNESSES)})")
+    if len(args) != len(spec.params):
+        raise ValueError(f"{name} takes {len(spec.params)} arguments, got {len(args)}")
+    values = [kind(raw) for (_, kind), raw in zip(spec.params, args)]
+    if spec.needs_dims:
         if dims is None:
-            raise ValueError("prop1 needs --dims, e.g. --dims 2,2")
-        i0, i1 = (int(v) for v in args)
-        return prop1_pair(HilbertSpace(dims), i0, i1)
-    if name == "prop2":
-        values = [float(v) for v in args]
-        if len(values) != 13:
-            raise ValueError("prop2 takes 13 floats: a(3), b(3), c(3), d(3), eta")
-        return (prop2_observable(Prop2Params.from_array(values)),)
-    if name == "prop3":
-        (which,) = args
-        return prop3_triple(int(which))
-    if name == "osc2d":
-        (n,) = args
-        return oscillator2d_pair(int(n))
-    if name == "osc3d":
-        n, m = (int(v) for v in args)
-        return oscillator3d_pair(n, m)
-    if name == "multiphoton":
-        return multiphoton_pair()
-    if name == "cat-quadratures":
-        a1, a2, b1, b2, trunc = args
-        return cat_quadratures(float(a1), float(a2), float(b1), float(b2), int(trunc))
-    if name == "werner-bipartite":
-        (phi,) = args
-        return werner_bipartite_pair(float(phi))
-    if name == "werner-multipartite":
-        (n,) = args
-        return werner_multipartite_pair(int(n))
-    raise ValueError(f"unknown witness descriptor {name!r}")
+            raise ValueError(f"{name} needs --dims, e.g. --dims 2,2")
+        values.insert(0, HilbertSpace(dims))
+    return spec.build(*values)
 
 
 def emit_witness(descriptor: str, dims_text: str | None, out_path: str | None) -> int:
-    dims = tuple(int(d) for d in dims_text.split(",")) if dims_text else None
     try:
+        dims = tuple(int(d) for d in dims_text.split(",")) if dims_text else None
         observables = _parse_witness_descriptor(descriptor, dims)
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -542,8 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--unchecked", action="store_true")
     p_check.add_argument("--out", default=None)
 
-    p_wit = sub.add_parser("witness", help="emit a named witness as JSON")
-    p_wit.add_argument("descriptor", help="e.g. prop1:0,1  prop3:3  osc2d:2  multiphoton")
+    p_wit = sub.add_parser("witness", help="emit a named witness as JSON",
+                           formatter_class=argparse.RawDescriptionHelpFormatter,
+                           epilog="descriptors:\n" + "\n".join(
+                               f"  {spec.usage(name)}" for name, spec in WITNESSES.items()))
+    p_wit.add_argument("descriptor", help="name[:arg,...], one of the descriptors below")
     p_wit.add_argument("--dims", default=None, help="comma-separated subsystem dimensions")
     p_wit.add_argument("--out", default=None)
 

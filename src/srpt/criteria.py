@@ -20,12 +20,13 @@ import numpy as np
 
 from .hilbert import (
     IMAG_TOL,
-    PSD_TOL,
     DensityMatrix,
     Observable,
     annihilation,
+    clamp_variance,
     min_eigenvalue,
     partial_transpose_matrix,
+    real_trace_product,
     trace_product,
 )
 
@@ -107,20 +108,6 @@ class AdmissibilityError(ValueError):
         )
 
 
-def _real_expect(rho_mat: np.ndarray, herm_mat: np.ndarray) -> float:
-    z = trace_product(rho_mat, herm_mat)
-    if abs(z.imag) >= IMAG_TOL:
-        raise ValueError(f"expectation of Hermitian operator has imaginary part {z.imag}")
-    return z.real
-
-
-def _clamped_variance(rho_mat: np.ndarray, op: np.ndarray, mean: float) -> float:
-    var = _real_expect(rho_mat, op @ op) - mean * mean
-    if var < -PSD_TOL:
-        raise ValueError(f"variance {var} negative beyond tolerance")
-    return max(var, 0.0)
-
-
 def _build_report(
     rho_mat: np.ndarray,
     a_eff: np.ndarray,
@@ -129,16 +116,17 @@ def _build_report(
     anticomm_eff: np.ndarray,
     violation_tol: float,
 ) -> UncertaintyReport:
-    mean_a = _real_expect(rho_mat, a_eff)
-    mean_b = _real_expect(rho_mat, b_eff)
-    lhs = _clamped_variance(rho_mat, a_eff, mean_a) * _clamped_variance(rho_mat, b_eff, mean_b)
+    mean_a = real_trace_product(rho_mat, a_eff)
+    mean_b = real_trace_product(rho_mat, b_eff)
+    lhs = (clamp_variance(real_trace_product(rho_mat, a_eff @ a_eff) - mean_a * mean_a)
+           * clamp_variance(real_trace_product(rho_mat, b_eff @ b_eff) - mean_b * mean_b))
 
     comm_expect = trace_product(rho_mat, comm_eff)
     if abs(comm_expect.real) >= IMAG_TOL:
         raise ValueError(f"commutator expectation has real part {comm_expect.real}")
     comm_term = 0.25 * abs(comm_expect) ** 2
 
-    anticomm_expect = _real_expect(rho_mat, anticomm_eff)
+    anticomm_expect = real_trace_product(rho_mat, anticomm_eff)
     anticomm_term = 0.25 * (anticomm_expect - 2.0 * mean_a * mean_b) ** 2
 
     rhs = comm_term + anticomm_term
@@ -175,6 +163,16 @@ def is_admissible(
     return AdmissibilityReport(residual, residual <= adm_tol, adm_tol)
 
 
+def require_admissible(
+    a: Observable, b: Observable, k: int = 0, adm_tol: float = ADMISSIBILITY_TOL
+) -> None:
+    """Raise AdmissibilityError naming the first of A, B that fails is_admissible."""
+    for label, obs in (("A", a), ("B", b)):
+        report = is_admissible(obs, k, adm_tol)
+        if not report.admissible:
+            raise AdmissibilityError(label, report.residual)
+
+
 def srpt_evaluate(
     rho: DensityMatrix,
     a: Observable,
@@ -196,10 +194,7 @@ def srpt_evaluate(
     dims = rho.space.dims
     rho.space.check_subsystem(k)
     if check_admissibility:
-        for label, obs in (("A", a), ("B", b)):
-            report = is_admissible(obs, k, adm_tol)
-            if not report.admissible:
-                raise AdmissibilityError(label, report.residual)
+        require_admissible(a, b, k, adm_tol)
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
     return _build_report(
@@ -246,18 +241,12 @@ def duan_criterion(rho: DensityMatrix, a_param: float) -> DuanReport:
     eye1 = np.eye(d1, dtype=complex)
     eye2 = np.eye(d2, dtype=complex)
 
-    def clamped(second, mean):
-        var = second - mean * mean
-        if var < -PSD_TOL:
-            raise ValueError(f"variance {var} negative beyond tolerance")
-        return max(var, 0.0)
-
     def moments(op1, op2):
-        m1 = _real_expect(rm, np.kron(op1, eye2))
-        m2 = _real_expect(rm, np.kron(eye1, op2))
-        var1 = clamped(_real_expect(rm, np.kron(op1 @ op1, eye2)), m1)
-        var2 = clamped(_real_expect(rm, np.kron(eye1, op2 @ op2)), m2)
-        cov = _real_expect(rm, np.kron(op1, op2)) - m1 * m2
+        m1 = real_trace_product(rm, np.kron(op1, eye2))
+        m2 = real_trace_product(rm, np.kron(eye1, op2))
+        var1 = clamp_variance(real_trace_product(rm, np.kron(op1 @ op1, eye2)) - m1 * m1)
+        var2 = clamp_variance(real_trace_product(rm, np.kron(eye1, op2 @ op2)) - m2 * m2)
+        cov = real_trace_product(rm, np.kron(op1, op2)) - m1 * m2
         return var1, var2, cov
 
     sign = 1.0 if a_param > 0 else -1.0

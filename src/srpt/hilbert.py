@@ -227,28 +227,32 @@ def trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", rho_matrix, op_matrix))
 
 
-def _real_trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> float:
+def real_trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> float:
+    """Re tr(rho @ op) for Hermitian op; raises if the imaginary part is not noise."""
     z = trace_product(rho_matrix, op_matrix)
     if abs(z.imag) >= IMAG_TOL:
         raise ValueError(f"expectation value has imaginary part {z.imag}")
     return z.real
 
 
+def clamp_variance(var: float) -> float:
+    """A variance raised to 0 if within PSD_TOL below it; raises further below."""
+    if var < -PSD_TOL:
+        raise ValueError(f"variance {var} negative beyond tolerance")
+    return max(var, 0.0)
+
+
 def expectation(rho: DensityMatrix, m: Observable) -> float:
     """Re tr(rho M); asserts the imaginary part is numerical noise."""
     _require_same_space(rho, m)
-    return _real_trace_product(rho.matrix, m.matrix)
+    return real_trace_product(rho.matrix, m.matrix)
 
 
 def variance(rho: DensityMatrix, m: Observable) -> float:
     """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
     _require_same_space(rho, m)
-    mean = _real_trace_product(rho.matrix, m.matrix)
-    second = _real_trace_product(rho.matrix, m.matrix @ m.matrix)
-    var = second - mean * mean
-    if var < -PSD_TOL:
-        raise ValueError(f"variance {var} negative beyond tolerance")
-    return max(var, 0.0)
+    mean = real_trace_product(rho.matrix, m.matrix)
+    return clamp_variance(real_trace_product(rho.matrix, m.matrix @ m.matrix) - mean * mean)
 
 
 def commutator(m: Observable, n: Observable) -> np.ndarray:
@@ -382,28 +386,29 @@ def _parse_payload(text: str, key: str):
     return space, doc[key]
 
 
-def _pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
+    """A vector (ndim=1) or matrix (ndim=2) of finite [re, im] pairs as complex."""
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"complex entries must be [re, im] pairs: {exc}") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("complex entries must be finite")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def state_from_json(text: str) -> StateVector:
     space, payload = _parse_payload(text, "amplitudes")
-    return StateVector(space, _pairs_to_complex(payload))
-
-
-def _matrix_from_payload(space: HilbertSpace, payload) -> np.ndarray:
-    rows = [_pairs_to_complex(row) for row in payload]
-    return np.array(rows, dtype=complex)
+    return StateVector(space, _pairs_to_complex(payload, 1))
 
 
 def observable_from_json(text: str) -> Observable:
     space, payload = _parse_payload(text, "matrix")
-    return Observable(space, _matrix_from_payload(space, payload))
+    return Observable(space, _pairs_to_complex(payload, 2))
 
 
 def density_from_json(text: str) -> DensityMatrix:
     space, payload = _parse_payload(text, "matrix")
-    return DensityMatrix(space, _matrix_from_payload(space, payload))
+    return DensityMatrix(space, _pairs_to_complex(payload, 2))

@@ -18,10 +18,9 @@ from scipy.optimize import minimize
 
 from .criteria import (
     VIOLATION_TOL,
-    AdmissibilityError,
     UncertaintyReport,
-    is_admissible,
     ppt_min_eigenvalue,
+    require_admissible,
     srpt_evaluate,
 )
 from .hilbert import DensityMatrix, Observable, PSD_TOL, StateVector, hermitian_eigensystem
@@ -64,7 +63,7 @@ class SearchResult:
 class WernerFormulaAudit:
     """Numeric Werner threshold next to two readings of the closed formula.
 
-    linear_formula uses the radicand 1 + 32 r with r = Re(e^{i phi} a* b);
+    linear_formula uses the radicand 1 + 32 r with r = Re(e^{-i phi} a* b);
     squared_formula uses 1 + 32 r^2.  Both readings are reported so a
     disagreement is surfaced rather than silently resolved.
     """
@@ -128,10 +127,7 @@ def threshold_scan(
     violation_tol: float = VIOLATION_TOL,
 ) -> ThresholdResult:
     """Critical x above which the SRPT pair (a, b) detects family(x)."""
-    for label, obs in (("A", a), ("B", b)):
-        report = is_admissible(obs, k)
-        if not report.admissible:
-            raise AdmissibilityError(label, report.residual)
+    require_admissible(a, b, k)
 
     def crossing(x: float) -> float:
         return srpt_evaluate(family(x), a, b, k, check_admissibility=False,
@@ -191,10 +187,7 @@ def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
 
     a = prop2_observable(_clipped_prop2(best_theta[:13]))
     b = prop2_observable(_clipped_prop2(best_theta[13:]))
-    for label, obs in (("A", a), ("B", b)):
-        report = is_admissible(obs, 0)
-        if not report.admissible:
-            raise AdmissibilityError(label, report.residual)
+    require_admissible(a, b)
     best_report = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
     return SearchResult(np.array(best_theta), best_report, restarts)
 
@@ -239,10 +232,7 @@ def _maximize_prop1(rho: DensityMatrix, restarts: int) -> SearchResult:
                 best = (np.array([i0, i1], dtype=float), report)
                 best_pair = (a, b)
 
-    for label, obs in zip(("A", "B"), best_pair):
-        report = is_admissible(obs, 0)
-        if not report.admissible:
-            raise AdmissibilityError(label, report.residual)
+    require_admissible(*best_pair)
     return SearchResult(best[0], best[1], 0)
 
 
@@ -280,7 +270,7 @@ def werner_phi_threshold(
     obs_a, obs_b = werner_bipartite_pair(phi)
     result = threshold_scan(lambda x: werner(psi, x), obs_a, obs_b, tol=tol)
 
-    r = (np.exp(1j * phi) * np.conj(a) * b).real
+    r = (np.exp(-1j * phi) * np.conj(a) * b).real
     linear = 2.0 / (1.0 + math.sqrt(1.0 + 32.0 * r)) if 1.0 + 32.0 * r >= 0 else math.nan
     squared = 2.0 / (1.0 + math.sqrt(1.0 + 32.0 * r * r))
     return WernerFormulaAudit(

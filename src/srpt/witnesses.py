@@ -3,14 +3,18 @@
 Every constructor returns observables that are admissible at subsystem 0,
 i.e. their squares commute with the partial transpose, so a reported
 violation is a valid entanglement certificate.  Most pairs follow one
-pattern: a projector onto a level pair plus a two-sided flip between the
-same levels.
+pattern, a projector onto chosen basis kets plus a symmetric flip between
+basis kets, and are built by the one constructor projector_flip_pair:
+prop1_pair, prop3_triple, oscillator2d_pair, oscillator3d_pair,
+multiphoton_pair and werner_multipartite_pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from .hilbert import (
     PAULI_Y,
     PAULI_Z,
     annihilation,
-    kron_all,
+    basis_index,
 )
 
 _PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -70,17 +74,29 @@ class NotRepresentable(ValueError):
         )
 
 
-def _projector(dim: int, level: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[level, level] = 1.0
-    return m
+def projector_flip_pair(
+    space: HilbertSpace, project: Sequence[Sequence[int]],
+    flips: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[Observable, Observable]:
+    """A = sum_p |p><p| over the kets in project, B = sum |u><v| + |v><u|
+    over the ket pairs (u, v) in flips; kets are per-subsystem level tuples."""
+    dim = space.total_dim
+    a = np.zeros((dim, dim), dtype=complex)
+    for levels in project:
+        i = basis_index(space, levels)
+        a[i, i] += 1.0
+    b = np.zeros((dim, dim), dtype=complex)
+    for u, v in flips:
+        i, j = basis_index(space, u), basis_index(space, v)
+        b[i, j] += 1.0
+        b[j, i] += 1.0
+    return Observable(space, a), Observable(space, b)
 
 
-def _flip(dim: int, i: int, j: int) -> np.ndarray:
-    """|i><j| + |j><i|, the two-level flip."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = m[j, i] = 1.0
-    return m
+def _double_flip(i: int, j: int, rest: tuple[int, ...] = ()) -> list:
+    """Ket pairs of (|i><j| + |j><i|) x (|i><j| + |j><i|) on the first two
+    subsystems, with the remaining subsystems pinned at the levels rest."""
+    return [((i, i, *rest), (j, j, *rest)), ((i, j, *rest), (j, i, *rest))]
 
 
 def prop1_pair(space: HilbertSpace, i0: int, i1: int) -> tuple[Observable, Observable]:
@@ -90,13 +106,10 @@ def prop1_pair(space: HilbertSpace, i0: int, i1: int) -> tuple[Observable, Obser
         raise ValueError(f"need a bipartite space, got dims {space.dims}")
     if i0 == i1:
         raise ValueError("the two levels must differ")
-    d1, d2 = space.dims
     for level in (i0, i1):
-        if not 0 <= level < min(d1, d2):
+        if not 0 <= level < min(space.dims):
             raise ValueError(f"level {level} out of range for dims {space.dims}")
-    a = Observable(space, np.kron(_projector(d1, i0), _projector(d2, i1)))
-    b = Observable(space, np.kron(_flip(d1, i0, i1), _flip(d2, i0, i1)))
-    return a, b
+    return projector_flip_pair(space, [(i0, i1)], _double_flip(i0, i1))
 
 
 def prop2_observable(p: Prop2Params) -> Observable:
@@ -153,34 +166,33 @@ def prop2_check(m: Observable) -> Prop2Params:
     return Prop2Params(a_vec, b_vec, coeff[0, 1:], coeff[1:, 0], coeff[0, 0])
 
 
+# selector -> (projected ket, subsystems sigma_x acts on)
+_PROP3_TABLE = {
+    1: ((0, 0, 1), (0, 2)),
+    2: ((0, 1, 0), (0, 1)),
+    3: ((0, 1, 1), (0, 1, 2)),
+}
+
+
 def prop3_triple(which: int) -> tuple[Observable, Observable]:
     """One of the three projector/flip pairs that jointly detect every
     entangled three-qubit pure state in canonical form."""
-    space = HilbertSpace((2, 2, 2))
-    p0, p1 = _projector(2, 0), _projector(2, 1)
-    if which == 1:
-        a = kron_all([p0, p0, p1])           # |001><001|
-        b = kron_all([PAULI_X, ID2, PAULI_X])
-    elif which == 2:
-        a = kron_all([p0, p1, p0])           # |010><010|
-        b = kron_all([PAULI_X, PAULI_X, ID2])
-    elif which == 3:
-        a = kron_all([p0, p1, p1])           # |011><011|
-        b = kron_all([PAULI_X, PAULI_X, PAULI_X])
-    else:
+    if which not in _PROP3_TABLE:
         raise ValueError(f"selector must be 1, 2 or 3, got {which}")
-    return Observable(space, a), Observable(space, b)
+    projected, flipped = _PROP3_TABLE[which]
+    flips = []
+    for u in itertools.product((0, 1), repeat=3):
+        v = tuple(1 - level if s in flipped else level for s, level in enumerate(u))
+        if u < v:
+            flips.append((u, v))
+    return projector_flip_pair(HilbertSpace((2, 2, 2)), [projected], flips)
 
 
 def oscillator2d_pair(n: int) -> tuple[Observable, Observable]:
     """Vacuum projector plus top-level double flip on the fixed-n 2D subspace."""
     if n < 1:
         raise ValueError(f"need total quanta >= 1, got {n}")
-    d = n + 1
-    space = HilbertSpace((d, d))
-    a = Observable(space, np.kron(_projector(d, 0), _projector(d, 0)))
-    b = Observable(space, np.kron(_flip(d, 0, n), _flip(d, 0, n)))
-    return a, b
+    return projector_flip_pair(HilbertSpace((n + 1, n + 1)), [(0, 0)], _double_flip(0, n))
 
 
 def oscillator3d_pair(n: int, m: int) -> tuple[Observable, Observable]:
@@ -195,21 +207,16 @@ def oscillator3d_pair(n: int, m: int) -> tuple[Observable, Observable]:
             raise ValueError(f"the m=0 pair needs n >= 2, got n={n}")
     elif not 1 <= abs(m) <= n:
         raise ValueError(f"need 1 <= |m| <= n, got m={m}, n={n}")
-    d = n + 1
-    space = HilbertSpace((d, d, d))
-    rest = _projector(d, n - step)
-    a = Observable(space, kron_all([_projector(d, 0), _projector(d, 0), rest]))
-    b = Observable(space, kron_all([_flip(d, 0, step), _flip(d, 0, step), rest]))
-    return a, b
+    rest = (n - step,)
+    return projector_flip_pair(HilbertSpace((n + 1,) * 3), [(0, 0, *rest)],
+                               _double_flip(0, step, rest))
 
 
 def multiphoton_pair() -> tuple[Observable, Observable]:
     """Two-projector witness for two-photon polarization states: the
-    transposed anticommutator is the difference of two Bell-like projectors."""
-    space = HilbertSpace((3, 3))
-    a = Observable(space, np.kron(_projector(3, 0), _projector(3, 0)))
-    b = Observable(space, np.kron(_flip(3, 0, 2), _flip(3, 0, 2)))
-    return a, b
+    transposed anticommutator is the difference of two Bell-like projectors.
+    The pair is the n = 2 oscillator pair."""
+    return oscillator2d_pair(2)
 
 
 def cat_quadratures(a1: float, a2: float, b1: float, b2: float,
@@ -242,16 +249,7 @@ def werner_multipartite_pair(n_parties: int) -> tuple[Observable, Observable]:
     connecting them with |0...0> and |1...1>."""
     if n_parties < 2:
         raise ValueError(f"need at least two parties, got {n_parties}")
-    space = HilbertSpace((2,) * n_parties)
-    dim = space.total_dim
-    all0, all1 = 0, dim - 1
-    head0 = dim // 2 - 1   # |01...1>
-    head1 = dim // 2       # |10...0>
-
-    a = np.zeros((dim, dim), dtype=complex)
-    a[head0, head0] = a[head1, head1] = 1.0
-
-    b = np.zeros((dim, dim), dtype=complex)
-    b[all0, all1] = b[all1, all0] = 1.0
-    b[head0, head1] = b[head1, head0] = 1.0
-    return Observable(space, a), Observable(space, b)
+    head0 = (0,) + (1,) * (n_parties - 1)
+    head1 = (1,) + (0,) * (n_parties - 1)
+    return projector_flip_pair(HilbertSpace((2,) * n_parties), [head0, head1],
+                               [((0,) * n_parties, (1,) * n_parties), (head0, head1)])

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srpt.cli import CASES, main
+from srpt.cli import CASES, WITNESSES, main
 from srpt.hilbert import observable_to_json, state_to_json
 from srpt.states import schmidt_state
 from srpt.witnesses import prop1_pair
@@ -148,6 +149,22 @@ def test_check_rejects_garbage_input(io_files, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert main(["check", str(garbage), str(a_path), str(b_path)]) == 1
+    garbage.write_text('{"dims": [2, 2], "amplitudes": {"re": 1}}')
+    assert main(["check", str(garbage), str(a_path), str(b_path)]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dims": [2, 2], "amplitudes": [[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}',
+    '{"dims": [2, 2], "matrix": [[[0.5, 0], [NaN, 0], [0, 0], [0, 0]], '
+    '[[NaN, 0], [0.5, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]], '
+    '[[0, 0], [0, 0], [0, 0], [0, 0]]]}',
+], ids=["amplitudes", "density"])
+def test_check_rejects_non_finite_state(io_files, capsys, text):
+    _, a_path, b_path, tmp_path = io_files
+    state_path = tmp_path / "nan.json"
+    state_path.write_text(text)
+    assert main(["check", str(state_path), str(a_path), str(b_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_check_dimension_mismatch_exits_1(io_files, capsys):
@@ -188,3 +205,19 @@ def test_witness_multiphoton_round_trips_into_check(tmp_path, capsys):
 def test_witness_rejects_unknown_descriptor(capsys):
     assert main(["witness", "nonsense:1"]) == 1
     assert main(["witness", "prop1:0,1"]) == 1  # missing --dims
+    assert main(["witness", "osc2d"]) == 1
+    assert main(["witness", "prop3:1,2"]) == 1
+    assert main(["witness", "prop1:0,1", "--dims", "2,x"]) == 1
+    err = capsys.readouterr().err
+    assert "osc2d takes 1 arguments, got 0" in err
+    assert "prop3 takes 1 arguments, got 2" in err
+
+
+def test_witness_help_and_readme_list_every_descriptor(capsys):
+    with pytest.raises(SystemExit):
+        main(["witness", "--help"])
+    help_text = capsys.readouterr().out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, spec in WITNESSES.items():
+        assert spec.usage(name) in help_text
+        assert spec.usage(name) in readme

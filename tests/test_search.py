@@ -170,6 +170,17 @@ def test_werner_audit_tilted_state():
     assert audit.result.x_critical == pytest.approx(audit.squared_formula, abs=1e-4)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_werner_audit_complex_amplitudes_match_squared_formula(seed):
+    # the witness sigma_x x (cos phi sigma_x + sin phi sigma_y) pairs with
+    # r = Re(e^{-i phi} a* b); the opposite phase sign fails on these draws
+    rng = np.random.default_rng(2024 + seed)
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    a, b = amps / np.linalg.norm(amps)
+    audit = werner_phi_threshold(a, b, float(rng.uniform(-np.pi, np.pi)))
+    assert audit.squared_agrees
+
+
 def test_werner_audit_product_state_has_no_crossing():
     with pytest.raises(NoCrossingError):
         werner_phi_threshold(1.0, 0.0, 0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from srpt.criteria import is_admissible, srpt_evaluate
 from srpt.hilbert import (
+    ID2,
     PAULI_X,
     PAULI_Y,
     HilbertSpace,
@@ -27,6 +28,7 @@ from srpt.witnesses import (
     multiphoton_pair,
     oscillator2d_pair,
     oscillator3d_pair,
+    projector_flip_pair,
     prop1_pair,
     prop2_check,
     prop2_observable,
@@ -36,6 +38,22 @@ from srpt.witnesses import (
 )
 
 Q2 = HilbertSpace((2, 2))
+
+
+def proj(dim, level):
+    m = np.zeros((dim, dim), dtype=complex)
+    m[level, level] = 1.0
+    return m
+
+
+def flip(dim, i, j):
+    m = np.zeros((dim, dim), dtype=complex)
+    m[i, j] = m[j, i] = 1.0
+    return m
+
+
+def kron3(x, y, z):
+    return np.kron(np.kron(x, y), z)
 
 
 def rand_params(rng):
@@ -95,6 +113,22 @@ def test_prop1_on_schmidt_states_gives_coefficient_product():
         rep = srpt_evaluate(density_from_pure(psi), a, b)
         assert rep.lhs == 0.0
         assert rep.rhs == pytest.approx(abs(c[0]) ** 2 * abs(c[2]) ** 2, abs=1e-12)
+
+
+def test_projector_flip_pair_row_major_kets():
+    space = HilbertSpace((2, 3))
+    a, b = projector_flip_pair(space, [(0, 2), (1, 0)], [((0, 1), (1, 2))])
+    assert np.array_equal(a.matrix, np.diag([0, 0, 1, 1, 0, 0]).astype(complex))
+    expected_b = np.zeros((6, 6), dtype=complex)
+    expected_b[1, 5] = expected_b[5, 1] = 1.0
+    assert np.array_equal(b.matrix, expected_b)
+
+
+def test_projector_flip_pair_rejects_out_of_range_level():
+    with pytest.raises(ValueError):
+        projector_flip_pair(Q2, [(0, 2)], [])
+    with pytest.raises(ValueError):
+        projector_flip_pair(Q2, [(0, 0)], [((0, 0), (1, 2))])
 
 
 # --- prop2 ----------------------------------------------------------------------
@@ -177,6 +211,17 @@ def test_prop3_biseparable_not_detected():
         assert not srpt_evaluate(density_from_pure(psi), a, b).violated
 
 
+@pytest.mark.parametrize("which, projected, factors", [
+    (1, (0, 0, 1), (PAULI_X, ID2, PAULI_X)),
+    (2, (0, 1, 0), (PAULI_X, PAULI_X, ID2)),
+    (3, (0, 1, 1), (PAULI_X, PAULI_X, PAULI_X)),
+])
+def test_prop3_exact_form(which, projected, factors):
+    a, b = prop3_triple(which)
+    assert np.array_equal(a.matrix, kron3(*(proj(2, level) for level in projected)))
+    assert np.array_equal(b.matrix, kron3(*factors))
+
+
 def test_prop3_rejects_bad_selector():
     with pytest.raises(ValueError):
         prop3_triple(4)
@@ -208,6 +253,23 @@ def test_osc2d_pair_pure_number_state_not_detected():
     assert not rep.violated
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_osc2d_pair_exact_form(n):
+    a, b = oscillator2d_pair(n)
+    d = n + 1
+    assert np.array_equal(a.matrix, np.kron(proj(d, 0), proj(d, 0)))
+    assert np.array_equal(b.matrix, np.kron(flip(d, 0, n), flip(d, 0, n)))
+
+
+@pytest.mark.parametrize("n, m, step", [(2, 0, 2), (4, 0, 2), (3, 2, 2), (3, -1, 1), (4, -4, 4)])
+def test_osc3d_pair_exact_form(n, m, step):
+    a, b = oscillator3d_pair(n, m)
+    d = n + 1
+    rest = proj(d, n - step)
+    assert np.array_equal(a.matrix, kron3(proj(d, 0), proj(d, 0), rest))
+    assert np.array_equal(b.matrix, kron3(flip(d, 0, step), flip(d, 0, step), rest))
+
+
 def test_osc2d_pair_rejects_n0():
     with pytest.raises(ValueError):
         oscillator2d_pair(0)
@@ -225,6 +287,12 @@ def test_osc3d_pair_parameter_validation():
 
 
 # --- multiphoton --------------------------------------------------------------------
+
+
+def test_multiphoton_exact_form():
+    a, b = multiphoton_pair()
+    assert np.array_equal(a.matrix, np.kron(proj(3, 0), proj(3, 0)))
+    assert np.array_equal(b.matrix, np.kron(flip(3, 0, 2), flip(3, 0, 2)))
 
 
 def test_multiphoton_anticommutator_is_projector_difference():
