@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import duan_criterion, is_admissible, srpt_evaluate
+from .criteria import VIOLATION_TOL, duan_criterion, is_admissible, srpt_evaluate
 from .hilbert import (
     DensityMatrix,
     HilbertSpace,
@@ -49,6 +49,7 @@ from .search import (
 )
 from .states import (
     cat_state,
+    ghz,
     multiphoton_state,
     oscillator2d_eigenstates,
     oscillator3d_eigenstates,
@@ -71,26 +72,21 @@ from .witnesses import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _check_close(name, value, expected, tol, provenance) -> dict:
-    ok = abs(float(value) - float(expected)) <= tol
+def _check(name, value, expected, provenance, tol=None) -> dict:
+    """One check record: a flag compared exactly when tol is None, else a number within tol."""
+    if tol is None:
+        value, expected = bool(value), bool(expected)
+        ok = value == expected
+    else:
+        value, expected = float(value), float(expected)
+        ok = abs(value - expected) <= tol
     return {
         "name": name,
-        "value": float(value),
-        "expected": float(expected),
-        "tol": tol,
+        "value": value,
+        "expected": expected,
+        "tol": 0.0 if tol is None else tol,
         "provenance": provenance,
         "ok": ok,
-    }
-
-
-def _check_flag(name, value, expected, provenance) -> dict:
-    return {
-        "name": name,
-        "value": bool(value),
-        "expected": bool(expected),
-        "tol": 0.0,
-        "provenance": provenance,
-        "ok": bool(value) == bool(expected),
     }
 
 
@@ -99,8 +95,8 @@ def _threshold_case(family, a, b, tol, srpt_expected, srpt_note, ppt_expected, p
     srpt_res = threshold_scan(family, a, b, tol=tol)
     ppt_res = ppt_threshold_scan(family, tol=tol)
     checks = [
-        _check_close("srpt_threshold", srpt_res.x_critical, srpt_expected, 1e-6, srpt_note),
-        _check_close("ppt_threshold", ppt_res.x_critical, ppt_expected, 1e-6, ppt_note),
+        _check("srpt_threshold", srpt_res.x_critical, srpt_expected, srpt_note, tol=1e-6),
+        _check("ppt_threshold", ppt_res.x_critical, ppt_expected, ppt_note, tol=1e-6),
     ]
     return {
         "results": {"srpt_scan": srpt_res.to_dict(), "ppt_scan": ppt_res.to_dict()},
@@ -119,7 +115,8 @@ def _run_ghzn_scan(p: dict) -> dict:
     n = p["n"]
     if n < 2:
         raise ValueError(f"need n >= 2 parties, got {n}")
-    return _threshold_case(lambda x: werner(n, x), *werner_multipartite_pair(n), p["tol"],
+    psi = ghz(n)
+    return _threshold_case(lambda x: werner(psi, x), *werner_multipartite_pair(n), p["tol"],
                            1.0 / (1.0 + 2.0 ** (n - 2)), "theory: violated if x > 1/(1+2^(N-2))",
                            1.0 / (1.0 + 2.0 ** (n - 1)), "theory: PPT limit x > 1/(1+2^(N-1))")
 
@@ -138,14 +135,13 @@ def _run_cat(p: dict) -> dict:
     )
     comm = (a1 * a2 + b1 * b2) ** 2
     checks = [
-        _check_close("lhs", report.lhs, var_a * var_b, 1e-6,
-                     "theory: closed-form transposed variances"),
-        _check_close("comm_term", report.comm_term, comm, 1e-6,
-                     "theory: comm term (a1 a2 + b1 b2)^2"),
-        _check_close("anticomm_term", report.anticomm_term, 0.0, 1e-6,
-                     "theory: anticommutator term is zero"),
-        _check_flag("violated", report.violated, True,
-                    "theory: violation for nonzero amplitudes"),
+        _check("lhs", report.lhs, var_a * var_b,
+               "theory: closed-form transposed variances", tol=1e-6),
+        _check("comm_term", report.comm_term, comm,
+               "theory: comm term (a1 a2 + b1 b2)^2", tol=1e-6),
+        _check("anticomm_term", report.anticomm_term, 0.0,
+               "theory: anticommutator term is zero", tol=1e-6),
+        _check("violated", report.violated, True, "theory: violation for nonzero amplitudes"),
     ]
     return {"results": {"report": report.to_dict()}, "checks": checks}
 
@@ -156,8 +152,8 @@ def _run_duan_cat(p: dict) -> dict:
     records = [duan_criterion(rho, float(a)).to_dict() for a in grid]
     any_violation = any(r["violated"] for r in records)
     checks = [
-        _check_flag("any_violation", any_violation, False,
-                    "theory: the cat state never violates the Duan criterion"),
+        _check("any_violation", any_violation, False,
+               "theory: the cat state never violates the Duan criterion"),
     ]
     return {"results": {"scan": records}, "checks": checks}
 
@@ -174,10 +170,10 @@ def _run_osc2d(p: dict) -> dict:
         expected = abs(state.coeffs[0]) ** 2 * abs(state.coeffs[n]) ** 2
         m = state.quantum_numbers[0]
         records.append({"M": m, **report.to_dict()})
-        checks.append(_check_close(f"rhs[M={m}]", report.rhs, expected, 1e-10,
-                                   "theory: |c_0 c_n|^2"))
-        checks.append(_check_flag(f"violated[M={m}]", report.violated, True,
-                                  "theory: entangled for n > 0"))
+        checks.append(_check(f"rhs[M={m}]", report.rhs, expected,
+                             "theory: |c_0 c_n|^2", tol=1e-10))
+        checks.append(_check(f"violated[M={m}]", report.violated, True,
+                             "theory: entangled for n > 0"))
     return {"results": {"eigenstates": records}, "checks": checks}
 
 
@@ -194,14 +190,13 @@ def _run_osc3d(p: dict) -> dict:
         report = srpt_evaluate(density_from_pure(state.vector), a, b)
         entangled = n > 1 or (n == 1 and m != 0)
         records.append({"l": l, "m": m, **report.to_dict()})
-        checks.append(_check_flag(
-            f"violated[l={l},m={m}]", report.violated, entangled,
-            "theory: entangled for (0,1,+-1) or n > 1"))
+        checks.append(_check(f"violated[l={l},m={m}]", report.violated, entangled,
+                             "theory: entangled for (0,1,+-1) or n > 1"))
         if entangled:
             step = 2 if m == 0 else abs(m)
             expected = abs(state.coeffs[step, 0]) ** 2 * abs(state.coeffs[step, step]) ** 2
-            checks.append(_check_close(f"rhs[l={l},m={m}]", report.rhs, expected, 1e-10,
-                                       "theory: |c_m0 c_mm|^2"))
+            checks.append(_check(f"rhs[l={l},m={m}]", report.rhs, expected,
+                                 "theory: |c_m0 c_mm|^2", tol=1e-10))
     return {"results": {"eigenstates": records}, "checks": checks}
 
 
@@ -224,11 +219,11 @@ def _run_multiphoton(p: dict) -> dict:
     projector_dev = float(np.max(np.abs(anti - target)))
 
     checks = [
-        _check_close("lhs", report.lhs, 0.0, 1e-12, "theory: projector variance vanishes"),
-        _check_close("anticomm_term", report.anticomm_term, re_ag**2, 1e-10,
-                     "theory: inequality 0 >= |Re(alpha* gamma)|"),
-        _check_close("projector_difference_dev", projector_dev, 0.0, 1e-12,
-                     "theory: {A,B}^G = |psi+><psi+| - |psi-><psi-|"),
+        _check("lhs", report.lhs, 0.0, "theory: projector variance vanishes", tol=1e-12),
+        _check("anticomm_term", report.anticomm_term, re_ag**2,
+               "theory: inequality 0 >= |Re(alpha* gamma)|", tol=1e-10),
+        _check("projector_difference_dev", projector_dev, 0.0,
+               "theory: {A,B}^G = |psi+><psi+| - |psi-><psi-|", tol=1e-12),
     ]
     return {"results": {"report": report.to_dict()}, "checks": checks}
 
@@ -241,10 +236,10 @@ def _run_prop1_demo(p: dict) -> dict:
     norm_sq = c0 * c0 + c1 * c1
     expected_rhs = (c0 * c1 / norm_sq) ** 2
     checks = [
-        _check_close("lhs", report.lhs, 0.0, 1e-12, "theory: transposed projector variance is 0"),
-        _check_close("rhs", report.rhs, expected_rhs, 1e-10, "theory: rhs = |c0|^2 |c1|^2"),
-        _check_flag("violated", report.violated, expected_rhs > 1e-9,
-                    "theory: violated for nonzero c0, c1"),
+        _check("lhs", report.lhs, 0.0, "theory: transposed projector variance is 0", tol=1e-12),
+        _check("rhs", report.rhs, expected_rhs, "theory: rhs = |c0|^2 |c1|^2", tol=1e-10),
+        _check("violated", report.violated, expected_rhs > VIOLATION_TOL,
+               "theory: violated for nonzero c0, c1"),
     ]
     return {"results": {"report": report.to_dict()}, "checks": checks}
 
@@ -258,12 +253,11 @@ def _run_bad_observable_demo(p: dict) -> dict:
     adm_b = is_admissible(b)
     report = srpt_evaluate(zero, a, b, check_admissibility=False)
     checks = [
-        _check_flag("violated_despite_separable", report.violated, True,
-                    "theory: the inequality is violated with unsuitable observables"),
-        _check_flag("b_inadmissible", adm_b.residual > 0.1, True,
-                    "theory: (B^G)^2 != (B^2)^G"),
-        _check_flag("a_admissible", adm_a.admissible, True,
-                    "theory: A obeys the admissibility condition"),
+        _check("violated_despite_separable", report.violated, True,
+               "theory: the inequality is violated with unsuitable observables"),
+        _check("b_inadmissible", adm_b.residual > 0.1, True, "theory: (B^G)^2 != (B^2)^G"),
+        _check("a_admissible", adm_a.admissible, True,
+               "theory: A obeys the admissibility condition"),
     ]
     return {
         "results": {
@@ -279,12 +273,12 @@ def _run_bad_observable_demo(p: dict) -> dict:
 def _run_werner_audit(p: dict) -> dict:
     audit = werner_phi_threshold(p["a"], p["b"], p["phi"], tol=p["tol"])
     checks = [
-        _check_close("x_critical", audit.result.x_critical, 0.5, 1e-6,
-                     "theory: Bell-state threshold x > 1/2"),
-        _check_flag("linear_formula_agrees", audit.linear_agrees, False,
-                    "derived: the linear radicand 1+32r gives ~0.390, not 1/2"),
-        _check_flag("squared_formula_agrees", audit.squared_agrees, True,
-                    "derived: the squared radicand 1+32r^2 reproduces the scan"),
+        _check("x_critical", audit.result.x_critical, 0.5,
+               "theory: Bell-state threshold x > 1/2", tol=1e-6),
+        _check("linear_formula_agrees", audit.linear_agrees, False,
+               "derived: the linear radicand 1+32r gives ~0.390, not 1/2"),
+        _check("squared_formula_agrees", audit.squared_agrees, True,
+               "derived: the squared radicand 1+32r^2 reproduces the scan"),
     ]
     return {"results": {"audit": audit.to_dict()}, "checks": checks}
 

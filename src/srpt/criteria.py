@@ -26,7 +26,9 @@ from .hilbert import (
     clamp_variance,
     min_eigenvalue,
     partial_transpose_matrix,
+    real_part,
     real_trace_product,
+    require_same_space,
     trace_product,
 )
 
@@ -114,7 +116,6 @@ def _build_report(
     b_eff: np.ndarray,
     comm_eff: np.ndarray,
     anticomm_eff: np.ndarray,
-    violation_tol: float,
 ) -> UncertaintyReport:
     mean_a = real_trace_product(rho_mat, a_eff)
     mean_b = real_trace_product(rho_mat, b_eff)
@@ -131,25 +132,23 @@ def _build_report(
 
     rhs = comm_term + anticomm_term
     slack = rhs - lhs
-    return UncertaintyReport(lhs, comm_term, anticomm_term, rhs, slack,
-                             slack > violation_tol, violation_tol)
+    return UncertaintyReport(lhs, comm_term, anticomm_term, rhs, slack, slack > VIOLATION_TOL)
 
 
-def _require_matching(rho: DensityMatrix, a: Observable, b: Observable):
-    if rho.space != a.space or rho.space != b.space:
-        raise ValueError(
-            f"space mismatch: state {rho.space.dims}, A {a.space.dims}, B {b.space.dims}"
-        )
-
-
-def sr_uncertainty(
-    rho: DensityMatrix, a: Observable, b: Observable, violation_tol: float = VIOLATION_TOL
-) -> UncertaintyReport:
-    """Schrodinger-Robertson relation; slack is never positive for valid states."""
-    _require_matching(rho, a, b)
+def _operators(
+    rho: DensityMatrix, a: Observable, b: Observable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A, B, [A,B] and {A,B} as raw matrices, once A and B share rho's space."""
+    require_same_space(rho, a)
+    require_same_space(rho, b)
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
-    return _build_report(rho.matrix, a.matrix, b.matrix, ab - ba, ab + ba, violation_tol)
+    return a.matrix, b.matrix, ab - ba, ab + ba
+
+
+def sr_uncertainty(rho: DensityMatrix, a: Observable, b: Observable) -> UncertaintyReport:
+    """Schrodinger-Robertson relation; slack is never positive for valid states."""
+    return _build_report(rho.matrix, *_operators(rho, a, b))
 
 
 def is_admissible(
@@ -163,12 +162,10 @@ def is_admissible(
     return AdmissibilityReport(residual, residual <= adm_tol, adm_tol)
 
 
-def require_admissible(
-    a: Observable, b: Observable, k: int = 0, adm_tol: float = ADMISSIBILITY_TOL
-) -> None:
+def require_admissible(a: Observable, b: Observable, k: int = 0) -> None:
     """Raise AdmissibilityError naming the first of A, B that fails is_admissible."""
     for label, obs in (("A", a), ("B", b)):
-        report = is_admissible(obs, k, adm_tol)
+        report = is_admissible(obs, k)
         if not report.admissible:
             raise AdmissibilityError(label, report.residual)
 
@@ -179,36 +176,31 @@ def srpt_evaluate(
     b: Observable,
     k: int = 0,
     check_admissibility: bool = True,
-    violation_tol: float = VIOLATION_TOL,
-    adm_tol: float = ADMISSIBILITY_TOL,
 ) -> UncertaintyReport:
     """Schrodinger-Robertson inequality with every operator partially transposed.
 
-    A violation (slack > violation_tol) certifies entanglement of rho across
-    the (k | rest) cut, provided both observables are admissible at k.  The
-    unchecked mode exists only to demonstrate what goes wrong with unsuitable
-    observables; with check_admissibility=False a "violation" on a separable
-    state is possible and meaningless.
+    A violation (slack > VIOLATION_TOL) certifies entanglement of rho across
+    the (k | rest) cut, provided both observables are admissible at k, i.e.
+    their is_admissible residual is at most ADMISSIBILITY_TOL.  Both
+    tolerances are module constants, and the reports echo them
+    (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
+    test's tolerance is hilbert.PSD_TOL.  The unchecked mode exists only to
+    demonstrate what goes wrong with unsuitable observables; with
+    check_admissibility=False a "violation" on a separable state is possible
+    and meaningless.
     """
-    _require_matching(rho, a, b)
-    dims = rho.space.dims
+    operators = _operators(rho, a, b)
     rho.space.check_subsystem(k)
     if check_admissibility:
-        require_admissible(a, b, k, adm_tol)
-    ab = a.matrix @ b.matrix
-    ba = b.matrix @ a.matrix
+        require_admissible(a, b, k)
+    dims = rho.space.dims
     return _build_report(
-        rho.matrix,
-        partial_transpose_matrix(a.matrix, dims, k),
-        partial_transpose_matrix(b.matrix, dims, k),
-        partial_transpose_matrix(ab - ba, dims, k),
-        partial_transpose_matrix(ab + ba, dims, k),
-        violation_tol,
+        rho.matrix, *(partial_transpose_matrix(m, dims, k) for m in operators)
     )
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix, k: int = 0) -> float:
-    """Smallest eigenvalue of the partial transpose; < -1e-10 certifies entanglement."""
+    """Smallest eigenvalue of the partial transpose; < -PSD_TOL certifies entanglement."""
     rho.space.check_subsystem(k)
     return min_eigenvalue(partial_transpose_matrix(rho.matrix, rho.space.dims, k))
 
@@ -238,14 +230,19 @@ def duan_criterion(rho: DensityMatrix, a_param: float) -> DuanReport:
 
     x1, p1 = quadratures(d1)
     x2, p2 = quadratures(d2)
-    eye1 = np.eye(d1, dtype=complex)
-    eye2 = np.eye(d2, dtype=complex)
+    blocks = rm.reshape(d1, d2, d1, d2)
+
+    def mode1(op):
+        return real_part(complex(np.einsum("iaja,ji->", blocks, op)))
+
+    def mode2(op):
+        return real_part(complex(np.einsum("iaib,ba->", blocks, op)))
 
     def moments(op1, op2):
-        m1 = real_trace_product(rm, np.kron(op1, eye2))
-        m2 = real_trace_product(rm, np.kron(eye1, op2))
-        var1 = clamp_variance(real_trace_product(rm, np.kron(op1 @ op1, eye2)) - m1 * m1)
-        var2 = clamp_variance(real_trace_product(rm, np.kron(eye1, op2 @ op2)) - m2 * m2)
+        m1 = mode1(op1)
+        m2 = mode2(op2)
+        var1 = clamp_variance(mode1(op1 @ op1) - m1 * m1)
+        var2 = clamp_variance(mode2(op2 @ op2) - m2 * m2)
         cov = real_trace_product(rm, np.kron(op1, op2)) - m1 * m2
         return var1, var2, cov
 

@@ -217,7 +217,8 @@ def partial_transpose(m, k: int = 0):
     raise TypeError(f"cannot partially transpose {type(m).__name__}")
 
 
-def _require_same_space(rho, m):
+def require_same_space(rho, m):
+    """Raise ValueError unless both operands live on the same HilbertSpace."""
     if rho.space != m.space:
         raise ValueError(f"space mismatch: {rho.space.dims} vs {m.space.dims}")
 
@@ -227,12 +228,16 @@ def trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", rho_matrix, op_matrix))
 
 
-def real_trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> float:
-    """Re tr(rho @ op) for Hermitian op; raises if the imaginary part is not noise."""
-    z = trace_product(rho_matrix, op_matrix)
+def real_part(z: complex) -> float:
+    """Real part of an expectation value; raises if the imaginary part is not noise."""
     if abs(z.imag) >= IMAG_TOL:
         raise ValueError(f"expectation value has imaginary part {z.imag}")
     return z.real
+
+
+def real_trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> float:
+    """Re tr(rho @ op) for Hermitian op; raises if the imaginary part is not noise."""
+    return real_part(trace_product(rho_matrix, op_matrix))
 
 
 def clamp_variance(var: float) -> float:
@@ -244,26 +249,26 @@ def clamp_variance(var: float) -> float:
 
 def expectation(rho: DensityMatrix, m: Observable) -> float:
     """Re tr(rho M); asserts the imaginary part is numerical noise."""
-    _require_same_space(rho, m)
+    require_same_space(rho, m)
     return real_trace_product(rho.matrix, m.matrix)
 
 
 def variance(rho: DensityMatrix, m: Observable) -> float:
     """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
-    _require_same_space(rho, m)
+    require_same_space(rho, m)
     mean = real_trace_product(rho.matrix, m.matrix)
     return clamp_variance(real_trace_product(rho.matrix, m.matrix @ m.matrix) - mean * mean)
 
 
 def commutator(m: Observable, n: Observable) -> np.ndarray:
     """MN - NM as a raw (anti-Hermitian) matrix."""
-    _require_same_space(m, n)
+    require_same_space(m, n)
     return m.matrix @ n.matrix - n.matrix @ m.matrix
 
 
 def anticommutator(m: Observable, n: Observable) -> Observable:
     """MN + NM."""
-    _require_same_space(m, n)
+    require_same_space(m, n)
     return Observable(m.space, m.matrix @ n.matrix + n.matrix @ m.matrix)
 
 

@@ -1,8 +1,9 @@
 """Threshold scans and witness optimization.
 
 Detection thresholds of one-parameter state families are located by
-bisection on a sign change, guarded by a coarse pre-scan that verifies
-the crossing is unique.  Witness optimization is derivative-free
+bisection on a change of verdict, guarded by a coarse pre-scan that
+verifies the crossing is unique.  The verdicts come from `criteria`
+(SRPT) and from the PPT minimum eigenvalue against PSD_TOL.  Witness optimization is derivative-free
 (Nelder-Mead with uniform random restarts) over parameterizations that
 are admissible by construction.
 """
@@ -17,7 +18,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .criteria import (
-    VIOLATION_TOL,
     UncertaintyReport,
     ppt_min_eigenvalue,
     require_admissible,
@@ -31,6 +31,7 @@ PRESCAN_POINTS = 21
 NM_MAX_ITER = 500
 NM_XATOL = 1e-8
 PROP2_NORM_BOUND = 4.0
+WERNER_AGREEMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,10 @@ class NoCrossingError(RuntimeError):
     """The pre-scan found no sign change on [0, 1]."""
 
 
-def _bisect_crossing(
-    crossing: Callable[[float], float], threshold: float, tol: float
-) -> ThresholdResult:
+def _bisect_crossing(detected: Callable[[float], bool], tol: float) -> ThresholdResult:
     xs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    evaluations = 0
-    flags = []
-    for x in xs:
-        flags.append(crossing(float(x)) > threshold)
-        evaluations += 1
+    flags = [detected(float(x)) for x in xs]
+    evaluations = len(flags)
 
     changes = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
     if not changes:
@@ -111,7 +107,7 @@ def _bisect_crossing(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if crossing(mid) > threshold:
+        if detected(mid):
             hi = mid
         else:
             lo = mid
@@ -124,27 +120,19 @@ def threshold_scan(
     b: Observable,
     k: int = 0,
     tol: float = 1e-6,
-    violation_tol: float = VIOLATION_TOL,
 ) -> ThresholdResult:
     """Critical x above which the SRPT pair (a, b) detects family(x)."""
     require_admissible(a, b, k)
-
-    def crossing(x: float) -> float:
-        return srpt_evaluate(family(x), a, b, k, check_admissibility=False,
-                             violation_tol=violation_tol).slack
-
-    return _bisect_crossing(crossing, violation_tol, tol)
+    return _bisect_crossing(
+        lambda x: srpt_evaluate(family(x), a, b, k, check_admissibility=False).violated, tol
+    )
 
 
 def ppt_threshold_scan(
     family: Callable[[float], DensityMatrix], k: int = 0, tol: float = 1e-6
 ) -> ThresholdResult:
     """Critical x above which family(x) fails the PPT test."""
-
-    def crossing(x: float) -> float:
-        return -ppt_min_eigenvalue(family(x), k)
-
-    return _bisect_crossing(crossing, PSD_TOL, tol)
+    return _bisect_crossing(lambda x: ppt_min_eigenvalue(family(x), k) < -PSD_TOL, tol)
 
 
 # --- witness optimization ------------------------------------------------------
@@ -187,9 +175,7 @@ def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
 
     a = prop2_observable(_clipped_prop2(best_theta[:13]))
     b = prop2_observable(_clipped_prop2(best_theta[13:]))
-    require_admissible(a, b)
-    best_report = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
-    return SearchResult(np.array(best_theta), best_report, restarts)
+    return SearchResult(np.array(best_theta), srpt_evaluate(rho, a, b, 0), restarts)
 
 
 def _pure_vector(rho: DensityMatrix) -> StateVector:
@@ -228,7 +214,7 @@ def _maximize_prop1(rho: DensityMatrix, restarts: int) -> SearchResult:
         for i1 in range(i0 + 1, levels):
             a, b = schmidt_aligned_prop1(psi, i0, i1)
             report = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
-            if best is None or report.slack > best[1].slack:
+            if best is None or best[1].slack < report.slack:
                 best = (np.array([i0, i1], dtype=float), report)
                 best_pair = (a, b)
 
@@ -254,7 +240,7 @@ def maximize_violation(
 
 
 def werner_phi_threshold(
-    a: complex, b: complex, phi: float, tol: float = 1e-6, agreement_tol: float = 1e-4
+    a: complex, b: complex, phi: float, tol: float = 1e-6
 ) -> WernerFormulaAudit:
     """Numeric Werner detection threshold plus both closed-formula readings.
 
@@ -277,6 +263,6 @@ def werner_phi_threshold(
         result,
         linear,
         squared,
-        linear_agrees=abs(result.x_critical - linear) <= agreement_tol,
-        squared_agrees=abs(result.x_critical - squared) <= agreement_tol,
+        linear_agrees=abs(result.x_critical - linear) <= WERNER_AGREEMENT_TOL,
+        squared_agrees=abs(result.x_critical - squared) <= WERNER_AGREEMENT_TOL,
     )

@@ -86,18 +86,10 @@ def ghz(n_parties: int) -> StateVector:
     return StateVector(space, amp)
 
 
-def werner(state_or_n, x: float) -> DensityMatrix:
-    """x |psi><psi| + (1-x) * identity / d.
-
-    Accepts either a StateVector or an integer N (shorthand for the N-qubit
-    GHZ state).
-    """
-    if isinstance(state_or_n, (int, np.integer)):
-        psi = ghz(int(state_or_n))
-    elif isinstance(state_or_n, StateVector):
-        psi = state_or_n
-    else:
-        raise TypeError(f"expected StateVector or int, got {type(state_or_n).__name__}")
+def werner(psi: StateVector, x: float) -> DensityMatrix:
+    """x |psi><psi| + (1-x) * identity / d."""
+    if not isinstance(psi, StateVector):
+        raise TypeError(f"expected StateVector, got {type(psi).__name__}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mixing parameter {x} outside [0, 1]")
     d = psi.space.total_dim

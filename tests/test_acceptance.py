@@ -25,6 +25,7 @@ from srpt.search import ppt_threshold_scan, threshold_scan, werner_phi_threshold
 from srpt.states import (
     acin_state,
     cat_state,
+    ghz,
     multiphoton_state,
     oscillator2d_eigenstates,
     oscillator3d_eigenstates,
@@ -97,8 +98,8 @@ def test_criterion_02_multipartite_werner_thresholds():
     failures = []
     for n in (3, 4, 5):
         a, b = werner_multipartite_pair(n)
-        srpt_res = threshold_scan(lambda x: werner(n, x), a, b, tol=1e-6)
-        ppt_res = ppt_threshold_scan(lambda x: werner(n, x), tol=1e-6)
+        srpt_res = threshold_scan(lambda x: werner(ghz(n), x), a, b, tol=1e-6)
+        ppt_res = ppt_threshold_scan(lambda x: werner(ghz(n), x), tol=1e-6)
         if abs(srpt_res.x_critical - 1 / (1 + 2 ** (n - 2))) > 1e-6:
             failures.append(f"N={n} srpt {srpt_res.x_critical}")
         if abs(ppt_res.x_critical - 1 / (1 + 2 ** (n - 1))) > 1e-6:

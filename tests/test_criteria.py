@@ -20,6 +20,7 @@ from srpt.hilbert import (
     HilbertSpace,
     Observable,
     StateVector,
+    annihilation,
     density_from_pure,
     ket,
     kron_all,
@@ -293,6 +294,28 @@ def test_duan_bound_tracks_a_param():
     rep = duan_criterion(vac, 2.0)
     assert rep.bound == pytest.approx(4.25)
     assert not rep.violated
+
+
+@pytest.mark.parametrize("a_param", [1.7, -0.6])
+def test_duan_unequal_mode_dims_match_kron_reference(a_param):
+    # d1 != d2, so a single-mode moment contracted over the wrong mode cannot pass
+    d1, d2 = 3, 5
+    rho = random_separable((d1, d2), 3, 7)
+
+    def quadratures(dim):
+        low = annihilation(dim)
+        return (low.conj().T + low) / math.sqrt(2), 1j * (low.conj().T - low) / math.sqrt(2)
+
+    def var(op):
+        mean = np.trace(rho.matrix @ op).real
+        return np.trace(rho.matrix @ op @ op).real - mean**2
+
+    (x1, p1), (x2, p2) = quadratures(d1), quadratures(d2)
+    eye1, eye2 = np.eye(d1), np.eye(d2)
+    u = abs(a_param) * np.kron(x1, eye2) + np.kron(eye1, x2) / a_param
+    v = abs(a_param) * np.kron(p1, eye2) - np.kron(eye1, p2) / a_param
+    rep = duan_criterion(rho, a_param)
+    assert rep.lhs_sum == pytest.approx(var(u) + var(v), abs=1e-12)
 
 
 def test_duan_cat_verdict_truncation_converged():

@@ -10,7 +10,7 @@ from srpt.search import (
     threshold_scan,
     werner_phi_threshold,
 )
-from srpt.states import schmidt_state, werner
+from srpt.states import ghz, schmidt_state, werner
 from srpt.witnesses import werner_bipartite_pair, werner_multipartite_pair
 
 BELL = schmidt_state((1.0, 1.0), (2, 2))
@@ -39,8 +39,8 @@ def test_bell_ppt_threshold():
 @pytest.mark.parametrize("n", [3, 4])
 def test_multipartite_thresholds(n):
     a, b = werner_multipartite_pair(n)
-    srpt_res = threshold_scan(lambda x: werner(n, x), a, b)
-    ppt_res = ppt_threshold_scan(lambda x: werner(n, x))
+    srpt_res = threshold_scan(lambda x: werner(ghz(n), x), a, b)
+    ppt_res = ppt_threshold_scan(lambda x: werner(ghz(n), x))
     assert srpt_res.x_critical == pytest.approx(1 / (1 + 2 ** (n - 2)), abs=1e-6)
     assert ppt_res.x_critical == pytest.approx(1 / (1 + 2 ** (n - 1)), abs=1e-6)
 
@@ -89,7 +89,7 @@ def test_scan_refuses_inadmissible_witness():
 def test_srpt_threshold_never_below_ppt():
     families = [
         (bell_family, werner_bipartite_pair(0.0)),
-        (lambda x: werner(3, x), werner_multipartite_pair(3)),
+        (lambda x: werner(ghz(3), x), werner_multipartite_pair(3)),
         (lambda x: werner(schmidt_state((0.8, 0.6), (2, 2)), x), werner_bipartite_pair(0.0)),
     ]
     for family, (a, b) in families:

@@ -95,17 +95,19 @@ def test_ghz_and_werner_edges():
         werner(bell, 1.2)
     with pytest.raises(ValueError):
         ghz(1)
-    assert np.array_equal(ghz(3).amplitudes, werner(3, 1.0).matrix[:, 0] * math.sqrt(2))
+    assert np.array_equal(ghz(3).amplitudes, werner(ghz(3), 1.0).matrix[:, 0] * math.sqrt(2))
+    with pytest.raises(TypeError):
+        werner(3, 0.5)
 
 
 def test_werner_ghz3_threshold_brackets():
     a, b = werner_multipartite_pair(3)
     eps = 1e-3
-    below = srpt_evaluate(werner(3, 1 / 3 - eps), a, b)
-    above = srpt_evaluate(werner(3, 1 / 3 + eps), a, b)
+    below = srpt_evaluate(werner(ghz(3), 1 / 3 - eps), a, b)
+    above = srpt_evaluate(werner(ghz(3), 1 / 3 + eps), a, b)
     assert not below.violated
     assert above.violated
-    assert ppt_min_eigenvalue(werner(3, 1 / 3 - eps)) < -1e-10  # PPT already detects
+    assert ppt_min_eigenvalue(werner(ghz(3), 1 / 3 - eps)) < -1e-10  # PPT already detects
 
 
 # --- 2D oscillator ------------------------------------------------------------------
