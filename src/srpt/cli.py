@@ -113,8 +113,6 @@ def _run_werner_bell(p: dict) -> dict:
 
 def _run_ghzn_scan(p: dict) -> dict:
     n = p["n"]
-    if n < 2:
-        raise ValueError(f"need n >= 2 parties, got {n}")
     psi = ghz(n)
     return _threshold_case(lambda x: werner(psi, x), *werner_multipartite_pair(n), p["tol"],
                            1.0 / (1.0 + 2.0 ** (n - 2)), "theory: violated if x > 1/(1+2^(N-2))",
@@ -149,7 +147,7 @@ def _run_cat(p: dict) -> dict:
 def _run_duan_cat(p: dict) -> dict:
     rho = density_from_pure(cat_state(p["alpha"], p["beta"], p["truncation"]))
     grid = np.linspace(0.25, 4.0, p["points"])
-    records = [duan_criterion(rho, float(a)).to_dict() for a in grid]
+    records = [r.to_dict() for r in duan_criterion(rho, grid)]
     any_violation = any(r["violated"] for r in records)
     checks = [
         _check("any_violation", any_violation, False,
@@ -160,8 +158,6 @@ def _run_duan_cat(p: dict) -> dict:
 
 def _run_osc2d(p: dict) -> dict:
     n = p["n"]
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     a, b = oscillator2d_pair(n)
     records = []
     checks = []
@@ -337,15 +333,7 @@ def _coerce_params(case: ReproCase, overrides: list[str]) -> dict:
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for case {case.id!r} "
                              f"(known: {sorted(params)})")
-        default = params[key]
-        if isinstance(default, bool):
-            params[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            params[key] = int(raw)
-        elif isinstance(default, float):
-            params[key] = float(raw)
-        else:
-            params[key] = raw
+        params[key] = int(raw) if isinstance(params[key], int) else float(raw)
     return params
 
 

@@ -14,7 +14,8 @@ violation can be traced back to the commutator or anticommutator term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +23,11 @@ from .hilbert import (
     IMAG_TOL,
     DensityMatrix,
     Observable,
-    annihilation,
     clamp_variance,
     min_eigenvalue,
+    moments,
     partial_transpose_matrix,
+    quadratures,
     real_part,
     real_trace_product,
     require_same_space,
@@ -56,16 +58,7 @@ class UncertaintyReport:
     violated: bool
     violation_tol: float = VIOLATION_TOL
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "comm_term": self.comm_term,
-            "anticomm_term": self.anticomm_term,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "violated": self.violated,
-            "violation_tol": self.violation_tol,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,7 @@ class AdmissibilityReport:
     admissible: bool
     adm_tol: float = ADMISSIBILITY_TOL
 
-    def to_dict(self) -> dict:
-        return {"residual": self.residual, "admissible": self.admissible, "adm_tol": self.adm_tol}
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -89,13 +81,7 @@ class DuanReport:
     bound: float
     violated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "a_param": self.a_param,
-            "lhs_sum": self.lhs_sum,
-            "bound": self.bound,
-            "violated": self.violated,
-        }
+    to_dict = asdict
 
 
 class AdmissibilityError(ValueError):
@@ -117,10 +103,9 @@ def _build_report(
     comm_eff: np.ndarray,
     anticomm_eff: np.ndarray,
 ) -> UncertaintyReport:
-    mean_a = real_trace_product(rho_mat, a_eff)
-    mean_b = real_trace_product(rho_mat, b_eff)
-    lhs = (clamp_variance(real_trace_product(rho_mat, a_eff @ a_eff) - mean_a * mean_a)
-           * clamp_variance(real_trace_product(rho_mat, b_eff @ b_eff) - mean_b * mean_b))
+    mean_a, var_a = moments(rho_mat, a_eff)
+    mean_b, var_b = moments(rho_mat, b_eff)
+    lhs = var_a * var_b
 
     comm_expect = trace_product(rho_mat, comm_eff)
     if abs(comm_expect.real) >= IMAG_TOL:
@@ -205,31 +190,25 @@ def ppt_min_eigenvalue(rho: DensityMatrix, k: int = 0) -> float:
     return min_eigenvalue(partial_transpose_matrix(rho.matrix, rho.space.dims, k))
 
 
-def duan_criterion(rho: DensityMatrix, a_param: float) -> DuanReport:
-    """Two-mode EPR-operator variance criterion.
+def duan_criterion(rho: DensityMatrix, a_params: Sequence[float]) -> list[DuanReport]:
+    """Two-mode EPR-operator variance criterion, one report per value in a_params.
 
     With x = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2), the combinations
     u = |a| x1 + x2/a and v = |a| p1 - p2/a satisfy
     <(Du)^2> + <(Dv)^2> >= a^2 + 1/a^2 for every separable two-mode state.
-    a_param may be negative, which flips the sign of the mode-2 quadratures.
+    a may be negative, which flips the sign of the mode-2 quadratures.  The
+    quadrature moments do not depend on a and are computed once.
     """
     if len(rho.space.dims) != 2:
         raise ValueError(f"Duan criterion needs exactly two modes, got dims {rho.space.dims}")
-    if a_param == 0:
+    a_values = [float(a) for a in a_params]
+    if 0.0 in a_values:
         raise ValueError("a_param must be nonzero")
 
-    a_param = float(a_param)
     d1, d2 = rho.space.dims
     rm = rho.matrix
-
-    def quadratures(dim):
-        low = annihilation(dim)
-        x = (low.conj().T + low) / math.sqrt(2)
-        p = 1j * (low.conj().T - low) / math.sqrt(2)
-        return x, p
-
-    x1, p1 = quadratures(d1)
-    x2, p2 = quadratures(d2)
+    x1, p1 = (q / math.sqrt(2) for q in quadratures(d1))
+    x2, p2 = (q / math.sqrt(2) for q in quadratures(d2))
     blocks = rm.reshape(d1, d2, d1, d2)
 
     def mode1(op):
@@ -238,7 +217,7 @@ def duan_criterion(rho: DensityMatrix, a_param: float) -> DuanReport:
     def mode2(op):
         return real_part(complex(np.einsum("iaib,ba->", blocks, op)))
 
-    def moments(op1, op2):
+    def pair_moments(op1, op2):
         m1 = mode1(op1)
         m2 = mode2(op2)
         var1 = clamp_variance(mode1(op1 @ op1) - m1 * m1)
@@ -246,15 +225,16 @@ def duan_criterion(rho: DensityMatrix, a_param: float) -> DuanReport:
         cov = real_trace_product(rm, np.kron(op1, op2)) - m1 * m2
         return var1, var2, cov
 
-    sign = 1.0 if a_param > 0 else -1.0
-    a_sq = a_param * a_param
+    var_x1, var_x2, cov_x = pair_moments(x1, x2)
+    var_p1, var_p2, cov_p = pair_moments(p1, p2)
 
-    var_x1, var_x2, cov_x = moments(x1, x2)
-    var_p1, var_p2, cov_p = moments(p1, p2)
-
-    var_u = a_sq * var_x1 + var_x2 / a_sq + 2.0 * sign * cov_x
-    var_v = a_sq * var_p1 + var_p2 / a_sq - 2.0 * sign * cov_p
-
-    lhs_sum = var_u + var_v
-    bound = a_sq + 1.0 / a_sq
-    return DuanReport(a_param, lhs_sum, bound, lhs_sum < bound - DUAN_TOL)
+    reports = []
+    for a_param in a_values:
+        sign = 1.0 if a_param > 0 else -1.0
+        a_sq = a_param * a_param
+        var_u = a_sq * var_x1 + var_x2 / a_sq + 2.0 * sign * cov_x
+        var_v = a_sq * var_p1 + var_p2 / a_sq - 2.0 * sign * cov_p
+        lhs_sum = var_u + var_v
+        bound = a_sq + 1.0 / a_sq
+        reports.append(DuanReport(a_param, lhs_sum, bound, lhs_sum < bound - DUAN_TOL))
+    return reports

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
@@ -33,8 +34,13 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, ID2):
     _m.setflags(write=False)
 
 
-def _locked(array: np.ndarray) -> np.ndarray:
+def _locked(array, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only complex copy of array; raises unless it has this shape and finite entries."""
     out = np.array(array, dtype=complex)
+    if out.shape != shape:
+        raise ValueError(f"{what} shape {out.shape} does not match space shape {shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -44,6 +50,16 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
+def _require_hermitian(matrix: np.ndarray, what: str) -> None:
+    defect = hermiticity_defect(matrix)
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"{what} not Hermitian: defect {defect}")
+
+
+def _lowest_eigenvalue(matrix: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(matrix)[0])
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Ordered subsystem dimensions defining the tensor structure."""
@@ -51,7 +67,10 @@ class HilbertSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError as exc:
+            raise ValueError(f"subsystem dimensions must be integers, got {self.dims!r}") from exc
         if not dims:
             raise ValueError("a Hilbert space needs at least one subsystem")
         if any(d < 2 for d in dims):
@@ -80,12 +99,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _locked(np.asarray(self.amplitudes).reshape(-1))
-        if amp.shape != (self.space.total_dim,):
-            raise ValueError(
-                f"amplitude count {amp.shape[0]} does not match space dimension "
-                f"{self.space.total_dim}"
-            )
+        amp = _locked(np.asarray(self.amplitudes).reshape(-1), (self.space.total_dim,),
+                      "amplitude vector")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
@@ -107,17 +122,13 @@ class DensityMatrix:
 
     def __post_init__(self, check_positive: bool):
         d = self.space.total_dim
-        mat = _locked(self.matrix)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
-        defect = hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: defect {defect}")
+        mat = _locked(self.matrix, (d, d), "density matrix")
+        _require_hermitian(mat, "density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
         if check_positive:
-            lowest = float(np.linalg.eigvalsh(mat)[0])
+            lowest = _lowest_eigenvalue(mat)
             if lowest < -PSD_TOL:
                 raise ValueError(f"density matrix has negative eigenvalue {lowest}")
         object.__setattr__(self, "matrix", mat)
@@ -132,12 +143,8 @@ class Observable:
 
     def __post_init__(self):
         d = self.space.total_dim
-        mat = _locked(self.matrix)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match space dimension {d}")
-        defect = hermiticity_defect(mat)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"observable not Hermitian: defect {defect}")
+        mat = _locked(self.matrix, (d, d), "observable")
+        _require_hermitian(mat, "observable")
         object.__setattr__(self, "matrix", mat)
 
 
@@ -253,11 +260,18 @@ def expectation(rho: DensityMatrix, m: Observable) -> float:
     return real_trace_product(rho.matrix, m.matrix)
 
 
+def moments(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> tuple[float, float]:
+    """Mean Re tr(rho M) and variance tr(rho M^2) - mean^2 of a Hermitian M,
+    the variance clamped to 0 if within tolerance below."""
+    mean = real_trace_product(rho_matrix, op_matrix)
+    second = real_trace_product(rho_matrix, op_matrix @ op_matrix)
+    return mean, clamp_variance(second - mean * mean)
+
+
 def variance(rho: DensityMatrix, m: Observable) -> float:
     """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
     require_same_space(rho, m)
-    mean = real_trace_product(rho.matrix, m.matrix)
-    return clamp_variance(real_trace_product(rho.matrix, m.matrix @ m.matrix) - mean * mean)
+    return moments(rho.matrix, m.matrix)[1]
 
 
 def commutator(m: Observable, n: Observable) -> np.ndarray:
@@ -272,20 +286,23 @@ def anticommutator(m: Observable, n: Observable) -> Observable:
     return Observable(m.space, m.matrix @ n.matrix + n.matrix @ m.matrix)
 
 
+def _hermitian_matrix(h) -> np.ndarray:
+    """The matrix of an Observable, or a raw matrix checked to be Hermitian."""
+    if isinstance(h, Observable):
+        return h.matrix
+    mat = np.asarray(h, dtype=complex)
+    _require_hermitian(mat, "matrix")
+    return mat
+
+
 def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a Hermitian matrix."""
-    mat = h.matrix if isinstance(h, Observable) else np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(mat)
-    if defect > 1e-10:
-        raise ValueError(f"matrix not Hermitian: defect {defect}")
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix or Observable."""
+    return np.linalg.eigh(_hermitian_matrix(h))
 
 
 def min_eigenvalue(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix or Observable."""
-    vals, _ = hermitian_eigensystem(h)
-    return float(vals[0])
+    return _lowest_eigenvalue(_hermitian_matrix(h))
 
 
 def density_from_pure(psi: StateVector) -> DensityMatrix:
@@ -319,6 +336,12 @@ def annihilation(dim: int) -> np.ndarray:
     for n in range(1, dim):
         a[n - 1, n] = math.sqrt(n)
     return a
+
+
+def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled quadratures a^dag + a and i(a^dag - a) of a truncated mode."""
+    low = annihilation(dim)
+    return low.conj().T + low, 1j * (low.conj().T - low)
 
 
 def number_operator(dim: int) -> Observable:
@@ -371,37 +394,30 @@ def state_to_json(state: StateVector) -> str:
     )
 
 
-def _matrix_payload(space: HilbertSpace, matrix: np.ndarray) -> dict:
-    return {"dims": list(space.dims), "matrix": [_complex_pairs(row) for row in matrix]}
-
-
 def observable_to_json(obs: Observable) -> str:
-    return dumps_canonical(_matrix_payload(obs.space, obs.matrix))
-
-
-def density_to_json(rho: DensityMatrix) -> str:
-    return dumps_canonical(_matrix_payload(rho.space, rho.matrix))
+    return dumps_canonical(
+        {"dims": list(obs.space.dims), "matrix": [_complex_pairs(row) for row in obs.matrix]}
+    )
 
 
 def _parse_payload(text: str, key: str):
     doc = json.loads(text)
     if not isinstance(doc, dict) or "dims" not in doc or key not in doc:
         raise ValueError(f'expected a JSON object with "dims" and "{key}"')
-    space = HilbertSpace(tuple(doc["dims"]))
+    space = HilbertSpace(doc["dims"])
     return space, doc[key]
 
 
 def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
-    """A vector (ndim=1) or matrix (ndim=2) of finite [re, im] pairs as complex."""
+    """A vector (ndim=1) or matrix (ndim=2) of [re, im] pairs as complex."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except TypeError as exc:
         raise ValueError(f"complex entries must be [re, im] pairs: {exc}") from exc
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("complex entries must be finite")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf; the constructors reject non-finite entries
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def state_from_json(text: str) -> StateVector:

@@ -20,6 +20,7 @@ from .hilbert import (
     StateVector,
     annihilation,
     density_from_pure,
+    hermitian_eigensystem,
     kron_all,
     mix,
 )
@@ -42,6 +43,14 @@ class OscillatorEigenstate:
     quantum_numbers: tuple[int, ...]
     coeffs: np.ndarray
     vector: StateVector
+
+
+def _normalized(space: HilbertSpace, amp: np.ndarray) -> StateVector:
+    """amp / |amp| as a StateVector; raises if amp is zero."""
+    norm = np.linalg.norm(amp)
+    if norm == 0:
+        raise ValueError("all coefficients are zero")
+    return StateVector(space, amp / norm)
 
 
 def schmidt_state(coeffs, dims: tuple[int, int]) -> StateVector:
@@ -70,10 +79,7 @@ def acin_state(l0: float, l1: float, l2: float, l3: float, l4: float,
     amp[5] = l2
     amp[6] = l3
     amp[7] = l4
-    norm = np.linalg.norm(amp)
-    if norm == 0:
-        raise ValueError("all coefficients are zero")
-    return StateVector(space, amp / norm)
+    return _normalized(space, amp)
 
 
 def ghz(n_parties: int) -> StateVector:
@@ -138,7 +144,7 @@ def oscillator2d_eigenstates(n: int) -> list[OscillatorEigenstate]:
     (lz,) = _angular_momentum_generators(dim_build, 2)
     members = [i * dim_build + (n - i) for i in range(n + 1)]
     block = lz[np.ix_(members, members)]
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = hermitian_eigensystem(block)
 
     d = max(n + 1, 2)
     space = HilbertSpace((d, d))
@@ -181,7 +187,7 @@ def oscillator3d_eigenstates(n: int) -> list[OscillatorEigenstate]:
     lz_block = lz[np.ix_(members, members)]
     lsq_block = l_sq[np.ix_(members, members)]
 
-    vals, vecs = np.linalg.eigh(lz_block)
+    vals, vecs = hermitian_eigensystem(lz_block)
     m_values = np.round(vals.real).astype(int)
     if np.max(np.abs(vals - m_values)) > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"non-integer L_z eigenvalue for n={n}")
@@ -193,7 +199,7 @@ def oscillator3d_eigenstates(n: int) -> list[OscillatorEigenstate]:
     for m in sorted({int(v) for v in m_values}):
         basis = vecs[:, m_values == m]
         projected = basis.conj().T @ lsq_block @ basis
-        sq_vals, sq_vecs = np.linalg.eigh(projected)
+        sq_vals, sq_vecs = hermitian_eigensystem(projected)
         for col in range(len(sq_vals)):
             l_val = (math.sqrt(1.0 + 4.0 * max(sq_vals[col], 0.0)) - 1.0) / 2.0
             l = int(round(l_val))
@@ -305,10 +311,7 @@ def multiphoton_state(alpha: complex, beta: complex, gamma: complex) -> StateVec
     amp[2] = alpha   # |0,2>
     amp[4] = beta    # |1,1>
     amp[6] = gamma   # |2,0>
-    norm = np.linalg.norm(amp)
-    if norm == 0:
-        raise ValueError("all coefficients are zero")
-    return StateVector(HilbertSpace((3, 3)), amp / norm)
+    return _normalized(HilbertSpace((3, 3)), amp)
 
 
 # --- random fixtures ----------------------------------------------------------
@@ -319,7 +322,7 @@ def random_pure(dims, seed) -> StateVector:
     space = HilbertSpace(tuple(dims))
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(space.total_dim) + 1j * rng.standard_normal(space.total_dim)
-    return StateVector(space, vec / np.linalg.norm(vec))
+    return _normalized(space, vec)
 
 
 def random_separable(dims, terms: int, seed) -> DensityMatrix:

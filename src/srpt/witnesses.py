@@ -25,8 +25,8 @@ from .hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    annihilation,
     basis_index,
+    quadratures,
 )
 
 _PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
@@ -226,9 +226,7 @@ def cat_quadratures(a1: float, a2: float, b1: float, b2: float,
     if truncation < 4:
         raise ValueError(f"truncation must be >= 4, got {truncation}")
     space = HilbertSpace((truncation, truncation))
-    low = annihilation(truncation)
-    x_quad = low.conj().T + low
-    p_quad = 1j * (low.conj().T - low)
+    x_quad, p_quad = quadratures(truncation)
     eye = np.eye(truncation, dtype=complex)
     a = Observable(space, a1 * np.kron(x_quad, eye) + b1 * np.kron(eye, x_quad))
     b = Observable(space, a2 * np.kron(p_quad, eye) + b2 * np.kron(eye, p_quad))

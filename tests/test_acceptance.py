@@ -318,7 +318,7 @@ def test_criterion_10_cat_state():
 
     rho32 = density_from_pure(cat_state(alpha, beta, 32))
     for a_param in np.linspace(0.25, 4.0, 31):
-        if duan_criterion(rho32, float(a_param)).violated:
+        if duan_criterion(rho32, [float(a_param)])[0].violated:
             failures.append(f"Duan violated at a_param {a_param}")
     elapsed = time.perf_counter() - start
     if elapsed >= 10.0:

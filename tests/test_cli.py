@@ -151,6 +151,12 @@ def test_check_rejects_garbage_input(io_files, capsys):
     assert main(["check", str(garbage), str(a_path), str(b_path)]) == 1
     garbage.write_text('{"dims": [2, 2], "amplitudes": {"re": 1}}')
     assert main(["check", str(garbage), str(a_path), str(b_path)]) == 1
+    product = '[[1, 0], [0, 0], [0, 0], [0, 0]]'
+    for dims in ('[2.7, 2]', '"22"'):
+        capsys.readouterr()
+        garbage.write_text(f'{{"dims": {dims}, "amplitudes": {product}}}')
+        assert main(["check", str(garbage), str(a_path), str(b_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("text", [
@@ -158,7 +164,8 @@ def test_check_rejects_garbage_input(io_files, capsys):
     '{"dims": [2, 2], "matrix": [[[0.5, 0], [NaN, 0], [0, 0], [0, 0]], '
     '[[NaN, 0], [0.5, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]], '
     '[[0, 0], [0, 0], [0, 0], [0, 0]]]}',
-], ids=["amplitudes", "density"])
+    '{"dims": [2, 2], "amplitudes": [[1.0, Infinity], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+], ids=["amplitudes", "density", "imag-inf"])
 def test_check_rejects_non_finite_state(io_files, capsys, text):
     _, a_path, b_path, tmp_path = io_files
     state_path = tmp_path / "nan.json"

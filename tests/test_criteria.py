@@ -259,7 +259,7 @@ def test_ppt_werner_crossing_at_one_third():
 
 def test_duan_vacuum_saturates():
     vac = density_from_pure(ket(HilbertSpace((8, 8)), (0, 0)))
-    rep = duan_criterion(vac, 1.0)
+    rep = duan_criterion(vac, [1.0])[0]
     assert rep.lhs_sum == pytest.approx(2.0, abs=1e-12)
     assert rep.bound == pytest.approx(2.0)
     assert not rep.violated
@@ -275,7 +275,7 @@ def test_duan_squeezed_mixture_violates():
         amp[n * dim + n] = (-lam) ** n
     amp /= np.linalg.norm(amp)
     rho = density_from_pure(StateVector(HilbertSpace((dim, dim)), amp))
-    rep = duan_criterion(rho, 1.0)
+    rep = duan_criterion(rho, [1.0])[0]
     assert rep.violated
     assert rep.lhs_sum == pytest.approx(2.0 * math.exp(-1.0), abs=1e-6)
 
@@ -283,15 +283,15 @@ def test_duan_squeezed_mixture_violates():
 def test_duan_rejects_bad_inputs():
     vac = density_from_pure(ket(HilbertSpace((4, 4)), (0, 0)))
     with pytest.raises(ValueError):
-        duan_criterion(vac, 0.0)
+        duan_criterion(vac, [0.0])[0]
     three_modes = density_from_pure(ket(HilbertSpace((2, 2, 2)), (0, 0, 0)))
     with pytest.raises(ValueError):
-        duan_criterion(three_modes, 1.0)
+        duan_criterion(three_modes, [1.0])[0]
 
 
 def test_duan_bound_tracks_a_param():
     vac = density_from_pure(ket(HilbertSpace((6, 6)), (0, 0)))
-    rep = duan_criterion(vac, 2.0)
+    rep = duan_criterion(vac, [2.0])[0]
     assert rep.bound == pytest.approx(4.25)
     assert not rep.violated
 
@@ -314,8 +314,15 @@ def test_duan_unequal_mode_dims_match_kron_reference(a_param):
     eye1, eye2 = np.eye(d1), np.eye(d2)
     u = abs(a_param) * np.kron(x1, eye2) + np.kron(eye1, x2) / a_param
     v = abs(a_param) * np.kron(p1, eye2) - np.kron(eye1, p2) / a_param
-    rep = duan_criterion(rho, a_param)
+    rep = duan_criterion(rho, [a_param])[0]
     assert rep.lhs_sum == pytest.approx(var(u) + var(v), abs=1e-12)
+
+
+def test_duan_grid_matches_single_value_calls():
+    rho = random_separable((3, 5), 3, 7)
+    grid = [-2.0, -0.6, 0.25, 1.7, 4.0]
+    assert ([repr(r) for r in duan_criterion(rho, grid)]
+            == [repr(duan_criterion(rho, [a])[0]) for a in grid])
 
 
 def test_duan_cat_verdict_truncation_converged():
@@ -327,7 +334,7 @@ def test_duan_cat_verdict_truncation_converged():
     sums = {}
     for trunc in (16, 24, 32):
         rho = density_from_pure(cat_state(1.0, 1.0, trunc))
-        reports = [duan_criterion(rho, a) for a in a_grid]
+        reports = [duan_criterion(rho, [a])[0] for a in a_grid]
         assert not any(r.violated for r in reports)
         sums[trunc] = np.array([r.lhs_sum for r in reports])
     assert np.max(np.abs(sums[24] - sums[16])) < 1e-6

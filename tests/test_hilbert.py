@@ -58,6 +58,10 @@ def test_space_requires_valid_dims():
         HilbertSpace(())
     with pytest.raises(ValueError):
         HilbertSpace((2, 1))
+    for dims in ((2.5, 2), (2.0, 2), "22", 4):
+        with pytest.raises(ValueError, match="integers"):
+            HilbertSpace(dims)
+    assert HilbertSpace((np.int64(2), 3)).dims == (2, 3)
 
 
 def test_state_vector_requires_unit_norm():
@@ -66,6 +70,19 @@ def test_state_vector_requires_unit_norm():
     sv = StateVector(Q2, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0  # locked
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructors_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(Q2, np.array([1.0, 0.0, 0.0, bad]))
+    mat = np.diag([1.0, 0.0, 0.0, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(Q2, mat)
+    with pytest.raises(ValueError, match="non-finite"):
+        Observable(Q2, mat)
+    with pytest.raises(ValueError):
+        mix([(bad, density_from_pure(bell_state()))])
 
 
 def test_observable_requires_hermitian():
@@ -244,6 +261,12 @@ def test_min_eigenvalue_rejects_non_hermitian():
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigensystem_rejects_defect_above_tolerance():
+    h = np.array([[1.0, 1e-11], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigensystem(h)
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 10**6))
 def test_eigensystem_reconstructs(seed):
@@ -252,6 +275,7 @@ def test_eigensystem_reconstructs(seed):
     vals, vecs = hermitian_eigensystem(h)
     rebuilt = (vecs * vals) @ vecs.conj().T
     assert np.linalg.norm(rebuilt - h) <= 1e-10
+    assert abs(min_eigenvalue(h) - vals[0]) <= 1e-12
 
 
 # --- density constructors --------------------------------------------------------
