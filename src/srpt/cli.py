@@ -27,19 +27,18 @@ import numpy as np
 
 from .criteria import VIOLATION_TOL, duan_criterion, is_admissible, srpt_evaluate
 from .hilbert import (
-    DensityMatrix,
     HilbertSpace,
     Observable,
     PAULI_X,
     PAULI_Y,
+    anticommutator,
     density_from_pure,
     density_from_json,
     dumps_canonical,
     format_float,
     observable_from_json,
     observable_to_json,
-    partial_transpose_matrix,
-    state_from_json,
+    partial_transpose,
 )
 from .search import (
     NoCrossingError,
@@ -205,8 +204,7 @@ def _run_multiphoton(p: dict) -> dict:
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
     re_ag = ((np.conj(alpha) * gamma) / norm**2).real
 
-    anti = partial_transpose_matrix(
-        a.matrix @ b.matrix + b.matrix @ a.matrix, (3, 3), 0)
+    anti = partial_transpose(anticommutator(a, b)).matrix
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = INV_SQRT2
@@ -384,18 +382,11 @@ def run_case(case_id: str, overrides: list[str], out_path: str | None, fmt: str)
     return 0
 
 
-def _load_state_file(path: str) -> DensityMatrix:
-    with open(path) as fh:
-        text = fh.read()
-    if '"amplitudes"' in text:
-        return density_from_pure(state_from_json(text))
-    return density_from_json(text)
-
-
 def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
                 unchecked: bool, out_path: str | None) -> int:
     try:
-        rho = _load_state_file(state_path)
+        with open(state_path) as fh:
+            rho = density_from_json(fh.read())
         with open(a_path) as fh:
             a = observable_from_json(fh.read())
         with open(b_path) as fh:

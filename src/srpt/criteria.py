@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,15 +96,11 @@ class AdmissibilityError(ValueError):
         )
 
 
-def _build_report(
-    rho_mat: np.ndarray,
-    a_eff: np.ndarray,
-    b_eff: np.ndarray,
-    comm_eff: np.ndarray,
-    anticomm_eff: np.ndarray,
-) -> UncertaintyReport:
-    mean_a, var_a = moments(rho_mat, a_eff)
-    mean_b, var_b = moments(rho_mat, b_eff)
+def _build_report(rho_mat: np.ndarray, operators: tuple[np.ndarray, ...]) -> UncertaintyReport:
+    """The report of rho against an _operator_set."""
+    a_eff, a_eff_sq, b_eff, b_eff_sq, comm_eff, anticomm_eff = operators
+    mean_a, var_a = moments(rho_mat, a_eff, a_eff_sq)
+    mean_b, var_b = moments(rho_mat, b_eff, b_eff_sq)
     lhs = var_a * var_b
 
     comm_expect = trace_product(rho_mat, comm_eff)
@@ -120,39 +116,48 @@ def _build_report(
     return UncertaintyReport(lhs, comm_term, anticomm_term, rhs, slack, slack > VIOLATION_TOL)
 
 
-def _operators(
-    rho: DensityMatrix, a: Observable, b: Observable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, B, [A,B] and {A,B} as raw matrices, once A and B share rho's space."""
-    require_same_space(rho, a)
-    require_same_space(rho, b)
+def _operator_set(a: Observable, b: Observable, k: int | None) -> tuple[np.ndarray, ...]:
+    """A', A'^2, B', B'^2, [A,B]' and {A,B}' as raw matrices, where ' is the
+    partial transpose at subsystem k, or no transpose when k is None."""
     ab = a.matrix @ b.matrix
     ba = b.matrix @ a.matrix
-    return a.matrix, b.matrix, ab - ba, ab + ba
+    a_eff, b_eff, comm_eff, anticomm_eff = (
+        m if k is None else partial_transpose_matrix(m, a.space.dims, k)
+        for m in (a.matrix, b.matrix, ab - ba, ab + ba))
+    return a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff
+
+
+def _residual(m: Observable, mg_sq: np.ndarray, k: int) -> float:
+    """Frobenius norm of (M^G)^2 - (M^2)^G at subsystem k, given (M^G)^2."""
+    m_sq_g = partial_transpose_matrix(m.matrix @ m.matrix, m.space.dims, k)
+    return float(np.linalg.norm(mg_sq - m_sq_g))
+
+
+def _raise_if_inadmissible(residuals: Iterable[float]) -> None:
+    """Raise AdmissibilityError naming the first of A, B whose residual exceeds
+    ADMISSIBILITY_TOL; residuals are consumed lazily, A first."""
+    for label, residual in zip("AB", residuals):
+        if not residual <= ADMISSIBILITY_TOL:
+            raise AdmissibilityError(label, residual)
 
 
 def sr_uncertainty(rho: DensityMatrix, a: Observable, b: Observable) -> UncertaintyReport:
     """Schrodinger-Robertson relation; slack is never positive for valid states."""
-    return _build_report(rho.matrix, *_operators(rho, a, b))
+    require_same_space(rho, a)
+    require_same_space(rho, b)
+    return _build_report(rho.matrix, _operator_set(a, b, None))
 
 
-def is_admissible(
-    m: Observable, k: int = 0, adm_tol: float = ADMISSIBILITY_TOL
-) -> AdmissibilityReport:
+def is_admissible(m: Observable, k: int = 0) -> AdmissibilityReport:
     """Check (M^G)^2 = (M^2)^G, the condition for M to be usable in the SRPT test."""
-    dims = m.space.dims
-    mg = partial_transpose_matrix(m.matrix, dims, k)
-    residual_matrix = mg @ mg - partial_transpose_matrix(m.matrix @ m.matrix, dims, k)
-    residual = float(np.linalg.norm(residual_matrix))
-    return AdmissibilityReport(residual, residual <= adm_tol, adm_tol)
+    mg = partial_transpose_matrix(m.matrix, m.space.dims, k)
+    residual = _residual(m, mg @ mg, k)
+    return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
 
 
 def require_admissible(a: Observable, b: Observable, k: int = 0) -> None:
     """Raise AdmissibilityError naming the first of A, B that fails is_admissible."""
-    for label, obs in (("A", a), ("B", b)):
-        report = is_admissible(obs, k)
-        if not report.admissible:
-            raise AdmissibilityError(label, report.residual)
+    _raise_if_inadmissible(is_admissible(obs, k).residual for obs in (a, b))
 
 
 def srpt_evaluate(
@@ -166,27 +171,26 @@ def srpt_evaluate(
 
     A violation (slack > VIOLATION_TOL) certifies entanglement of rho across
     the (k | rest) cut, provided both observables are admissible at k, i.e.
-    their is_admissible residual is at most ADMISSIBILITY_TOL.  Both
-    tolerances are module constants, and the reports echo them
+    their residual ||(M^G)^2 - (M^2)^G|| is at most ADMISSIBILITY_TOL.  A
+    checked evaluation takes (M^G)^2 from the transposed squares it evaluates
+    with; is_admissible computes the same residual.  Both tolerances are
+    module constants, not parameters, and the reports echo them
     (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
     test's tolerance is hilbert.PSD_TOL.  The unchecked mode exists only to
     demonstrate what goes wrong with unsuitable observables; with
     check_admissibility=False a "violation" on a separable state is possible
     and meaningless.
     """
-    operators = _operators(rho, a, b)
-    rho.space.check_subsystem(k)
+    require_same_space(rho, a)
+    require_same_space(rho, b)
+    ops = _operator_set(a, b, k)
     if check_admissibility:
-        require_admissible(a, b, k)
-    dims = rho.space.dims
-    return _build_report(
-        rho.matrix, *(partial_transpose_matrix(m, dims, k) for m in operators)
-    )
+        _raise_if_inadmissible(_residual(m, sq, k) for m, sq in ((a, ops[1]), (b, ops[3])))
+    return _build_report(rho.matrix, ops)
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix, k: int = 0) -> float:
     """Smallest eigenvalue of the partial transpose; < -PSD_TOL certifies entanglement."""
-    rho.space.check_subsystem(k)
     return min_eigenvalue(partial_transpose_matrix(rho.matrix, rho.space.dims, k))
 
 
@@ -202,6 +206,8 @@ def duan_criterion(rho: DensityMatrix, a_params: Sequence[float]) -> list[DuanRe
     if len(rho.space.dims) != 2:
         raise ValueError(f"Duan criterion needs exactly two modes, got dims {rho.space.dims}")
     a_values = [float(a) for a in a_params]
+    if not a_values:
+        raise ValueError("a_params must not be empty")
     if 0.0 in a_values:
         raise ValueError("a_param must be nonzero")
 

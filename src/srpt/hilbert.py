@@ -85,11 +85,6 @@ class HilbertSpace:
     def num_subsystems(self) -> int:
         return len(self.dims)
 
-    def check_subsystem(self, k: int) -> int:
-        if not 0 <= k < len(self.dims):
-            raise ValueError(f"subsystem index {k} out of range for dims {self.dims}")
-        return k
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -260,18 +255,19 @@ def expectation(rho: DensityMatrix, m: Observable) -> float:
     return real_trace_product(rho.matrix, m.matrix)
 
 
-def moments(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> tuple[float, float]:
+def moments(rho_matrix: np.ndarray, op_matrix: np.ndarray,
+            op_sq: np.ndarray) -> tuple[float, float]:
     """Mean Re tr(rho M) and variance tr(rho M^2) - mean^2 of a Hermitian M,
-    the variance clamped to 0 if within tolerance below."""
+    given M and M^2; the variance is clamped to 0 if within tolerance below."""
     mean = real_trace_product(rho_matrix, op_matrix)
-    second = real_trace_product(rho_matrix, op_matrix @ op_matrix)
+    second = real_trace_product(rho_matrix, op_sq)
     return mean, clamp_variance(second - mean * mean)
 
 
 def variance(rho: DensityMatrix, m: Observable) -> float:
     """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
     require_same_space(rho, m)
-    return moments(rho.matrix, m.matrix)[1]
+    return moments(rho.matrix, m.matrix, m.matrix @ m.matrix)[1]
 
 
 def commutator(m: Observable, n: Observable) -> np.ndarray:
@@ -400,12 +396,12 @@ def observable_to_json(obs: Observable) -> str:
     )
 
 
-def _parse_payload(text: str, key: str):
-    doc = json.loads(text)
+def _parse_payload(doc, key: str, ndim: int):
+    """The HilbertSpace of doc["dims"] and doc[key] as a complex array of ndim axes."""
     if not isinstance(doc, dict) or "dims" not in doc or key not in doc:
         raise ValueError(f'expected a JSON object with "dims" and "{key}"')
     space = HilbertSpace(doc["dims"])
-    return space, doc[key]
+    return space, _pairs_to_complex(doc[key], ndim)
 
 
 def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
@@ -421,15 +417,17 @@ def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
 
 
 def state_from_json(text: str) -> StateVector:
-    space, payload = _parse_payload(text, "amplitudes")
-    return StateVector(space, _pairs_to_complex(payload, 1))
+    return StateVector(*_parse_payload(json.loads(text), "amplitudes", 1))
 
 
 def observable_from_json(text: str) -> Observable:
-    space, payload = _parse_payload(text, "matrix")
-    return Observable(space, _pairs_to_complex(payload, 2))
+    return Observable(*_parse_payload(json.loads(text), "matrix", 2))
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    space, payload = _parse_payload(text, "matrix")
-    return DensityMatrix(space, _pairs_to_complex(payload, 2))
+    """A density matrix from a "matrix" payload, or the projector onto the pure
+    state of an "amplitudes" payload; the format is chosen by key."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "amplitudes" in doc:
+        return density_from_pure(StateVector(*_parse_payload(doc, "amplitudes", 1)))
+    return DensityMatrix(*_parse_payload(doc, "matrix", 2))

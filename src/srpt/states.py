@@ -55,14 +55,16 @@ def _normalized(space: HilbertSpace, amp: np.ndarray) -> StateVector:
 
 def schmidt_state(coeffs, dims: tuple[int, int]) -> StateVector:
     """Normalized sum_i c_i |i>|i> on a bipartite space."""
-    d1, d2 = int(dims[0]), int(dims[1])
+    space = HilbertSpace(dims)
+    if space.num_subsystems != 2:
+        raise ValueError(f"a Schmidt state needs exactly two subsystems, got dims {space.dims}")
+    d1, d2 = space.dims
     c = np.asarray(coeffs, dtype=complex).reshape(-1)
     if len(c) > min(d1, d2):
         raise ValueError(f"{len(c)} Schmidt coefficients do not fit in dims ({d1}, {d2})")
     norm = np.linalg.norm(c)
     if norm == 0:
         raise ValueError("all Schmidt coefficients are zero")
-    space = HilbertSpace((d1, d2))
     amp = np.zeros(space.total_dim, dtype=complex)
     for i, ci in enumerate(c):
         amp[i * d2 + i] = ci / norm

@@ -172,7 +172,7 @@ def test_criterion_06_prop2_equivalence():
     space = HilbertSpace((2, 2))
     for trial in range(500):
         obs = Observable(space, _rand_herm(rng, 4))
-        admissible = is_admissible(obs, adm_tol=1e-10).admissible
+        admissible = is_admissible(obs).admissible
         try:
             prop2_check(obs)
             representable = True

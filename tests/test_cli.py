@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from srpt.cli import CASES, WITNESSES, main
-from srpt.hilbert import observable_to_json, state_to_json
-from srpt.states import schmidt_state
+from srpt.criteria import srpt_evaluate
+from srpt.hilbert import density_from_pure, observable_to_json, state_to_json
+from srpt.states import random_pure, schmidt_state
 from srpt.witnesses import prop1_pair
 from srpt.hilbert import HilbertSpace, Observable, PAULI_X, PAULI_Y
 
@@ -82,6 +83,13 @@ def test_run_output_is_byte_stable(tmp_path):
     assert main(["run", "multiphoton", "--out", str(path_a)]) == 0
     assert main(["run", "multiphoton", "--out", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_run_duan_cat_rejects_an_empty_scan(capsys):
+    assert main(["run", "duan-cat", "--param", "points=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # --- check subcommand -----------------------------------------------------------
@@ -180,6 +188,40 @@ def test_check_dimension_mismatch_exits_1(io_files, capsys):
     small_path = tmp_path / "small.json"
     small_path.write_text(observable_to_json(small))
     assert main(["check", str(state_path), str(a_path), str(small_path)]) == 1
+
+
+def test_check_picks_the_state_format_by_key(io_files, capsys):
+    _, a_path, b_path, tmp_path = io_files
+    bell = density_from_pure(schmidt_state((1.0, 1.0), (2, 2)))
+    doc = {"dims": [2, 2],
+           "matrix": [[[z.real, z.imag] for z in row] for row in bell.matrix]}
+    outputs = []
+    for name, extra in (("plain.json", {}), ("comment.json", {"comment": "amplitudes"})):
+        path = tmp_path / name
+        path.write_text(json.dumps({**doc, **extra}))
+        assert main(["check", str(path), str(a_path), str(b_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["report"]["violated"] is True
+
+
+def test_check_out_of_range_subsystem_exits_1(io_files, capsys):
+    state_path, a_path, b_path, _ = io_files
+    assert main(["check", str(state_path), str(a_path), str(b_path), "--subsystem", "2"]) == 1
+    assert capsys.readouterr().err == "error: subsystem index 2 out of range for dims (2, 2)\n"
+
+
+def test_check_subsystem_1_matches_srpt_evaluate(tmp_path, capsys):
+    psi = random_pure((2, 3), 5)
+    a, b = prop1_pair(psi.space, 0, 1)
+    paths = [tmp_path / name for name in ("state.json", "a.json", "b.json")]
+    for path, text in zip(paths, (state_to_json(psi), observable_to_json(a),
+                                  observable_to_json(b))):
+        path.write_text(text)
+    assert main(["check", *map(str, paths), "--subsystem", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["subsystem"] == 1
+    assert doc["report"] == srpt_evaluate(density_from_pure(psi), a, b, 1).to_dict()
 
 
 # --- witness subcommand -----------------------------------------------------------

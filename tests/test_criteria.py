@@ -27,7 +27,7 @@ from srpt.hilbert import (
     partial_transpose,
     tensor,
 )
-from srpt.states import random_separable, schmidt_state, werner
+from srpt.states import random_pure, random_separable, schmidt_state, werner
 from srpt.witnesses import Prop2Params, prop1_pair, prop2_observable
 
 Q1 = HilbertSpace((2,))
@@ -203,6 +203,44 @@ def test_srpt_sound_on_separable_states(seed):
     b = Observable(rho.space, kron_all(factors))
     rep = srpt_evaluate(rho, a, b)
     assert rep.slack <= 1e-9
+
+
+def swap_subsystems(m, d1, d2):
+    """M on (d1, d2) as the same operator on (d2, d1), by index permutation only."""
+    return m.reshape(d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 3), (3, 2), (3, 3)]), st.booleans())
+def test_srpt_verdict_invariant_under_subsystem_relabelling(seed, dims, pure):
+    d1, d2 = dims
+    rho = (density_from_pure(random_pure(dims, seed)) if pure
+           else random_separable(dims, terms=1 + seed % 4, seed=seed))
+    i0, i1 = sorted(np.random.default_rng(seed).choice(min(dims), 2, replace=False))
+    a, b = prop1_pair(rho.space, int(i0), int(i1))
+    swapped = HilbertSpace((d2, d1))
+    rho_s = DensityMatrix(swapped, swap_subsystems(rho.matrix, d1, d2))
+    a_s, b_s = (Observable(swapped, swap_subsystems(m.matrix, d1, d2)) for m in (a, b))
+
+    rep = srpt_evaluate(rho, a, b, 0)
+    rep_s = srpt_evaluate(rho_s, a_s, b_s, 1)
+    tol = 1e-12 * max(1.0, abs(rep.lhs), abs(rep.rhs))
+    assert rep_s.violated == rep.violated
+    assert abs(rep_s.slack - rep.slack) <= tol
+    for m, m_s in ((a, a_s), (b, b_s)):
+        assert abs(is_admissible(m_s, 1).residual - is_admissible(m, 0).residual) <= tol
+
+
+def test_out_of_range_subsystem_is_rejected():
+    rho = density_from_pure(schmidt_state((1.0, 1.0), (2, 2)))
+    a, b = prop1_pair(Q2, 0, 1)
+    message = r"subsystem index 2 out of range for dims \(2, 2\)"
+    for call in (lambda: srpt_evaluate(rho, a, b, 2),
+                 lambda: srpt_evaluate(rho, a, b, 2, check_admissibility=False),
+                 lambda: is_admissible(a, 2),
+                 lambda: ppt_min_eigenvalue(rho, 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_srpt_blind_to_ghz_type_states_with_bipartite_pairs():

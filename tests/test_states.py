@@ -61,6 +61,15 @@ def test_schmidt_rejects_zero_and_overflow():
         schmidt_state((1.0, 1.0, 1.0), (2, 2))
 
 
+def test_schmidt_dims_go_through_the_space_check():
+    for dims in ((2.7, 2), (2.0, 2), (2, 2, 2)):
+        with pytest.raises(ValueError):
+            schmidt_state((1.0, 1.0), dims)
+    psi = schmidt_state((1.0, 1.0), (np.int64(2), 2))
+    assert psi.space == HilbertSpace((2, 2))
+    assert np.array_equal(psi.amplitudes, schmidt_state((1.0, 1.0), (2, 2)).amplitudes)
+
+
 def test_acin_ghz_case():
     psi = acin_state(1.0, 0, 0, 0, 1.0)
     assert psi.amplitudes[0] == pytest.approx(1 / math.sqrt(2))
