@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import VIOLATION_TOL, duan_criterion, is_admissible, srpt_evaluate
+from .criteria import VIOLATION_TOL, CompiledWitness, duan_criterion, is_admissible, srpt_evaluate
 from .hilbert import (
     HilbertSpace,
     Observable,
@@ -39,6 +39,7 @@ from .hilbert import (
     observable_from_json,
     observable_to_json,
     partial_transpose,
+    require_same_space,
 )
 from .search import (
     NoCrossingError,
@@ -53,7 +54,6 @@ from .states import (
     oscillator2d_eigenstates,
     oscillator3d_eigenstates,
     schmidt_state,
-    werner,
 )
 from .witnesses import (
     Prop2Params,
@@ -89,10 +89,11 @@ def _check(name, value, expected, provenance, tol=None) -> dict:
     }
 
 
-def _threshold_case(family, a, b, tol, srpt_expected, srpt_note, ppt_expected, ppt_note) -> dict:
-    """SRPT and PPT bisection scans of one family against their theoretical thresholds."""
-    srpt_res = threshold_scan(family, a, b, tol=tol)
-    ppt_res = ppt_threshold_scan(family, tol=tol)
+def _threshold_case(psi, a, b, tol, srpt_expected, srpt_note, ppt_expected, ppt_note) -> dict:
+    """SRPT and PPT bisection scans of the Werner family of psi against their
+    theoretical thresholds."""
+    srpt_res = threshold_scan(psi, a, b, tol=tol)
+    ppt_res = ppt_threshold_scan(psi, tol=tol)
     checks = [
         _check("srpt_threshold", srpt_res.x_critical, srpt_expected, srpt_note, tol=1e-6),
         _check("ppt_threshold", ppt_res.x_critical, ppt_expected, ppt_note, tol=1e-6),
@@ -105,15 +106,14 @@ def _threshold_case(family, a, b, tol, srpt_expected, srpt_note, ppt_expected, p
 
 def _run_werner_bell(p: dict) -> dict:
     bell = schmidt_state((1.0, 1.0), (2, 2))
-    return _threshold_case(lambda x: werner(bell, x), *werner_bipartite_pair(p["phi"]), p["tol"],
+    return _threshold_case(bell, *werner_bipartite_pair(p["phi"]), p["tol"],
                            0.5, "theory: detected when x > 1/2",
                            1.0 / 3.0, "theory: entangled iff x > 1/3")
 
 
 def _run_ghzn_scan(p: dict) -> dict:
     n = p["n"]
-    psi = ghz(n)
-    return _threshold_case(lambda x: werner(psi, x), *werner_multipartite_pair(n), p["tol"],
+    return _threshold_case(ghz(n), *werner_multipartite_pair(n), p["tol"],
                            1.0 / (1.0 + 2.0 ** (n - 2)), "theory: violated if x > 1/(1+2^(N-2))",
                            1.0 / (1.0 + 2.0 ** (n - 1)), "theory: PPT limit x > 1/(1+2^(N-1))")
 
@@ -391,8 +391,8 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
             a = observable_from_json(fh.read())
         with open(b_path) as fh:
             b = observable_from_json(fh.read())
-        adm_a = is_admissible(a, subsystem)
-        adm_b = is_admissible(b, subsystem)
+        witness = CompiledWitness(a, b, subsystem)
+        adm_a, adm_b = witness.admissibility()
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -410,7 +410,8 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
                 sys.stderr.write(f"observable {label} inadmissible: residual {adm.residual}\n")
         return 3
     try:
-        report = srpt_evaluate(rho, a, b, subsystem, check_admissibility=False)
+        require_same_space(rho, a)  # B shares A's space, which the witness checked
+        report = witness.report(rho.matrix)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,41 +96,33 @@ class AdmissibilityError(ValueError):
         )
 
 
-def _build_report(rho_mat: np.ndarray, operators: tuple[np.ndarray, ...]) -> UncertaintyReport:
-    """The report of rho against an _operator_set."""
-    a_eff, a_eff_sq, b_eff, b_eff_sq, comm_eff, anticomm_eff = operators
-    mean_a, var_a = moments(rho_mat, a_eff, a_eff_sq)
-    mean_b, var_b = moments(rho_mat, b_eff, b_eff_sq)
+def _build_report(expectations: Sequence[complex]) -> UncertaintyReport:
+    """The report from the expectation values, in one state, of the six
+    operators of a CompiledWitness."""
+    e_a, e_a_sq, e_b, e_b_sq, comm_expect, anticomm_expect = expectations
+    mean_a, var_a = moments(e_a, e_a_sq)
+    mean_b, var_b = moments(e_b, e_b_sq)
     lhs = var_a * var_b
 
-    comm_expect = trace_product(rho_mat, comm_eff)
     if abs(comm_expect.real) >= IMAG_TOL:
         raise ValueError(f"commutator expectation has real part {comm_expect.real}")
     comm_term = 0.25 * abs(comm_expect) ** 2
 
-    anticomm_expect = real_trace_product(rho_mat, anticomm_eff)
-    anticomm_term = 0.25 * (anticomm_expect - 2.0 * mean_a * mean_b) ** 2
+    anticomm_term = 0.25 * (real_part(anticomm_expect) - 2.0 * mean_a * mean_b) ** 2
 
     rhs = comm_term + anticomm_term
     slack = rhs - lhs
     return UncertaintyReport(lhs, comm_term, anticomm_term, rhs, slack, slack > VIOLATION_TOL)
 
 
-def _operator_set(a: Observable, b: Observable, k: int | None) -> tuple[np.ndarray, ...]:
-    """A', A'^2, B', B'^2, [A,B]' and {A,B}' as raw matrices, where ' is the
-    partial transpose at subsystem k, or no transpose when k is None."""
-    ab = a.matrix @ b.matrix
-    ba = b.matrix @ a.matrix
-    a_eff, b_eff, comm_eff, anticomm_eff = (
-        m if k is None else partial_transpose_matrix(m, a.space.dims, k)
-        for m in (a.matrix, b.matrix, ab - ba, ab + ba))
-    return a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff
-
-
 def _residual(m: Observable, mg_sq: np.ndarray, k: int) -> float:
     """Frobenius norm of (M^G)^2 - (M^2)^G at subsystem k, given (M^G)^2."""
     m_sq_g = partial_transpose_matrix(m.matrix @ m.matrix, m.space.dims, k)
     return float(np.linalg.norm(mg_sq - m_sq_g))
+
+
+def _admissibility(residual: float) -> AdmissibilityReport:
+    return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
 
 
 def _raise_if_inadmissible(residuals: Iterable[float]) -> None:
@@ -141,23 +133,57 @@ def _raise_if_inadmissible(residuals: Iterable[float]) -> None:
             raise AdmissibilityError(label, residual)
 
 
+class CompiledWitness:
+    """The SRPT operators of the pair (A, B) at subsystem k, formed once.
+
+    operators holds A', A'^2, B', B'^2, [A,B]' and {A,B}' as raw matrices,
+    where ' is the partial transpose at k, or no transpose when k is None.
+    A and B must share one space.  The admissibility residuals are taken
+    from the compiled squares A'^2 and B'^2, and only when asked for, so an
+    unchecked evaluation does no residual work.
+    """
+
+    __slots__ = ("a", "b", "k", "operators")
+
+    def __init__(self, a: Observable, b: Observable, k: int | None):
+        require_same_space(a, b)
+        ab = a.matrix @ b.matrix
+        ba = b.matrix @ a.matrix
+        a_eff, b_eff, comm_eff, anticomm_eff = (
+            m if k is None else partial_transpose_matrix(m, a.space.dims, k)
+            for m in (a.matrix, b.matrix, ab - ba, ab + ba))
+        self.a, self.b, self.k = a, b, k
+        self.operators = (a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff)
+
+    def residuals(self) -> Iterator[float]:
+        """||(M')^2 - (M^2)'|| for M = A, then B, each computed when consumed."""
+        for m, m_eff_sq in ((self.a, self.operators[1]), (self.b, self.operators[3])):
+            yield _residual(m, m_eff_sq, self.k)
+
+    def admissibility(self) -> tuple[AdmissibilityReport, AdmissibilityReport]:
+        """The admissibility reports of A and B at k."""
+        return tuple(_admissibility(r) for r in self.residuals())
+
+    def check_admissibility(self) -> None:
+        """Raise AdmissibilityError naming the first of A, B that is not admissible at k."""
+        _raise_if_inadmissible(self.residuals())
+
+    def report(self, rho_matrix: np.ndarray) -> UncertaintyReport:
+        """The report of the density matrix rho_matrix, on the pair's space."""
+        return _build_report([trace_product(rho_matrix, op) for op in self.operators])
+
+
 def sr_uncertainty(rho: DensityMatrix, a: Observable, b: Observable) -> UncertaintyReport:
     """Schrodinger-Robertson relation; slack is never positive for valid states."""
     require_same_space(rho, a)
     require_same_space(rho, b)
-    return _build_report(rho.matrix, _operator_set(a, b, None))
+    return CompiledWitness(a, b, None).report(rho.matrix)
 
 
 def is_admissible(m: Observable, k: int = 0) -> AdmissibilityReport:
     """Check (M^G)^2 = (M^2)^G, the condition for M to be usable in the SRPT test."""
     mg = partial_transpose_matrix(m.matrix, m.space.dims, k)
-    residual = _residual(m, mg @ mg, k)
-    return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
-
-
-def require_admissible(a: Observable, b: Observable, k: int = 0) -> None:
-    """Raise AdmissibilityError naming the first of A, B that fails is_admissible."""
-    _raise_if_inadmissible(is_admissible(obs, k).residual for obs in (a, b))
+    return _admissibility(_residual(m, mg @ mg, k))
 
 
 def srpt_evaluate(
@@ -183,10 +209,10 @@ def srpt_evaluate(
     """
     require_same_space(rho, a)
     require_same_space(rho, b)
-    ops = _operator_set(a, b, k)
+    witness = CompiledWitness(a, b, k)
     if check_admissibility:
-        _raise_if_inadmissible(_residual(m, sq, k) for m, sq in ((a, ops[1]), (b, ops[3])))
-    return _build_report(rho.matrix, ops)
+        witness.check_admissibility()
+    return witness.report(rho.matrix)
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix, k: int = 0) -> float:

@@ -255,19 +255,19 @@ def expectation(rho: DensityMatrix, m: Observable) -> float:
     return real_trace_product(rho.matrix, m.matrix)
 
 
-def moments(rho_matrix: np.ndarray, op_matrix: np.ndarray,
-            op_sq: np.ndarray) -> tuple[float, float]:
-    """Mean Re tr(rho M) and variance tr(rho M^2) - mean^2 of a Hermitian M,
-    given M and M^2; the variance is clamped to 0 if within tolerance below."""
-    mean = real_trace_product(rho_matrix, op_matrix)
-    second = real_trace_product(rho_matrix, op_sq)
-    return mean, clamp_variance(second - mean * mean)
+def moments(expect: complex, expect_sq: complex) -> tuple[float, float]:
+    """Mean <M> and variance <M^2> - <M>^2 of a Hermitian M, given the
+    expectation values <M> and <M^2>; the variance is clamped to 0 if within
+    tolerance below."""
+    mean = real_part(expect)
+    return mean, clamp_variance(real_part(expect_sq) - mean * mean)
 
 
 def variance(rho: DensityMatrix, m: Observable) -> float:
     """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
     require_same_space(rho, m)
-    return moments(rho.matrix, m.matrix, m.matrix @ m.matrix)[1]
+    return moments(trace_product(rho.matrix, m.matrix),
+                   trace_product(rho.matrix, m.matrix @ m.matrix))[1]
 
 
 def commutator(m: Observable, n: Observable) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Threshold scans and witness optimization.
 
-Detection thresholds of one-parameter state families are located by
-bisection on a change of verdict, guarded by a coarse pre-scan that
-verifies the crossing is unique.  The verdicts come from `criteria`
-(SRPT) and from the PPT minimum eigenvalue against PSD_TOL.  Witness optimization is derivative-free
-(Nelder-Mead with uniform random restarts) over parameterizations that
-are admissible by construction.
+Detection thresholds of Werner families x |psi><psi| + (1-x) I/d are
+located by bisection on a change of verdict, guarded by a coarse pre-scan
+that verifies the crossing is unique.  The verdicts come from `criteria`
+(SRPT) and from the PPT minimum eigenvalue against PSD_TOL.  Witness
+optimization is derivative-free (Nelder-Mead with uniform random restarts)
+over parameterizations that are admissible by construction.
 """
 
 from __future__ import annotations
@@ -18,12 +18,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .criteria import (
+    CompiledWitness,
     UncertaintyReport,
+    _build_report,
     ppt_min_eigenvalue,
-    require_admissible,
     srpt_evaluate,
 )
-from .hilbert import DensityMatrix, Observable, PSD_TOL, StateVector, hermitian_eigensystem
+from .hilbert import (
+    PSD_TOL,
+    DensityMatrix,
+    Observable,
+    StateVector,
+    density_from_pure,
+    hermitian_eigensystem,
+    require_same_space,
+)
 from .states import schmidt_state, werner
 from .witnesses import Prop2Params, prop1_pair, prop2_observable, werner_bipartite_pair
 
@@ -114,25 +123,79 @@ def _bisect_crossing(detected: Callable[[float], bool], tol: float) -> Threshold
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), tol, evaluations)
 
 
-def threshold_scan(
-    family: Callable[[float], DensityMatrix],
-    a: Observable,
-    b: Observable,
-    k: int = 0,
-    tol: float = 1e-6,
+def _certified_scan(
+    detected: Callable[[float], bool], dense_detected: Callable[[float], bool], tol: float
 ) -> ThresholdResult:
-    """Critical x above which the SRPT pair (a, b) detects family(x)."""
-    require_admissible(a, b, k)
-    return _bisect_crossing(
-        lambda x: srpt_evaluate(family(x), a, b, k, check_admissibility=False).violated, tol
+    """Bisect on detected, then evaluate dense_detected once at the bracket's
+    upper end; raises ArithmeticError if the two verdicts differ there.  The
+    dense evaluation is not counted in the result's evaluations."""
+    result = _bisect_crossing(detected, tol)
+    hi = result.bracket[1]
+    if dense_detected(hi) != detected(hi):
+        raise ArithmeticError(f"compiled and dense verdicts differ at x = {hi!r}")
+    return result
+
+
+def _require_state(psi: StateVector) -> None:
+    if not isinstance(psi, StateVector):
+        raise TypeError(f"expected StateVector, got {type(psi).__name__}")
+
+
+def _werner_expectations(
+    psi: StateVector, a: Observable, b: Observable, k: int
+) -> list[tuple[complex, complex]]:
+    """(<psi|O|psi>, tr(O)/d) for each operator O of the admissible witness
+    (a, b) at k: its expectations at both ends of werner(psi, x).  The
+    witness is dropped on return, so its operators are freed before the
+    scan's dense certification forms its own."""
+    _require_state(psi)
+    require_same_space(psi, a)
+    witness = CompiledWitness(a, b, k)
+    witness.check_admissibility()
+    amp = psi.amplitudes
+    d = psi.space.total_dim
+    return [(complex(np.vdot(amp, op @ amp)), complex(np.trace(op)) / d)
+            for op in witness.operators]
+
+
+def threshold_scan(
+    psi: StateVector, a: Observable, b: Observable, k: int = 0, tol: float = 1e-6
+) -> ThresholdResult:
+    """Critical x above which the SRPT pair (a, b) detects werner(psi, x),
+    the family x |psi><psi| + (1-x) I/d.
+
+    The pair is compiled and checked for admissibility once.  Every
+    expectation value is affine in x, so <psi|O|psi> and tr(O)/d are taken
+    once per operator and each scan point costs O(1).  The point at the
+    bracket's upper end is then evaluated densely, with a checked
+    srpt_evaluate of werner(psi, x), and must give the same verdict.
+    """
+    ends = _werner_expectations(psi, a, b, k)
+
+    def detected(x: float) -> bool:
+        return _build_report([x * pure + (1.0 - x) * mixed for pure, mixed in ends]).violated
+
+    return _certified_scan(
+        detected, lambda x: srpt_evaluate(werner(psi, x), a, b, k).violated, tol
     )
 
 
-def ppt_threshold_scan(
-    family: Callable[[float], DensityMatrix], k: int = 0, tol: float = 1e-6
-) -> ThresholdResult:
-    """Critical x above which family(x) fails the PPT test."""
-    return _bisect_crossing(lambda x: ppt_min_eigenvalue(family(x), k) < -PSD_TOL, tol)
+def ppt_threshold_scan(psi: StateVector, k: int = 0, tol: float = 1e-6) -> ThresholdResult:
+    """Critical x above which werner(psi, x) fails the PPT test.
+
+    The identity is invariant under partial transposition, so the lowest
+    eigenvalue of werner(psi, x)^G is x mu + (1-x)/d, with mu that of
+    (|psi><psi|)^G, computed once; each scan point costs O(1).  The point at
+    the bracket's upper end is then evaluated densely and must agree.
+    """
+    _require_state(psi)
+    mu = ppt_min_eigenvalue(density_from_pure(psi), k)
+    d = psi.space.total_dim
+    return _certified_scan(
+        lambda x: x * mu + (1.0 - x) / d < -PSD_TOL,
+        lambda x: ppt_min_eigenvalue(werner(psi, x), k) < -PSD_TOL,
+        tol,
+    )
 
 
 # --- witness optimization ------------------------------------------------------
@@ -209,17 +272,14 @@ def _maximize_prop1(rho: DensityMatrix, restarts: int) -> SearchResult:
     levels = min(rho.space.dims)
 
     best = None
-    best_pair = None
     for i0 in range(levels):
         for i1 in range(i0 + 1, levels):
             a, b = schmidt_aligned_prop1(psi, i0, i1)
             report = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
             if best is None or best[1].slack < report.slack:
-                best = (np.array([i0, i1], dtype=float), report)
-                best_pair = (a, b)
+                best = (np.array([i0, i1], dtype=float), report, (a, b))
 
-    require_admissible(*best_pair)
-    return SearchResult(best[0], best[1], 0)
+    return SearchResult(best[0], srpt_evaluate(rho, *best[2], 0), 0)
 
 
 def maximize_violation(
@@ -254,7 +314,7 @@ def werner_phi_threshold(
 
     psi = schmidt_state((a, b), (2, 2))
     obs_a, obs_b = werner_bipartite_pair(phi)
-    result = threshold_scan(lambda x: werner(psi, x), obs_a, obs_b, tol=tol)
+    result = threshold_scan(psi, obs_a, obs_b, tol=tol)
 
     r = (np.exp(-1j * phi) * np.conj(a) * b).real
     linear = 2.0 / (1.0 + math.sqrt(1.0 + 32.0 * r)) if 1.0 + 32.0 * r >= 0 else math.nan

@@ -31,7 +31,6 @@ from srpt.states import (
     oscillator3d_eigenstates,
     random_separable,
     schmidt_state,
-    werner,
 )
 from srpt.witnesses import (
     NotRepresentable,
@@ -81,8 +80,8 @@ def test_criterion_01_bipartite_werner_thresholds():
     failures = []
     bell = schmidt_state((1.0, 1.0), (2, 2))
     a, b = werner_bipartite_pair(0.0)
-    srpt_res = threshold_scan(lambda x: werner(bell, x), a, b, tol=1e-6)
-    ppt_res = ppt_threshold_scan(lambda x: werner(bell, x), tol=1e-6)
+    srpt_res = threshold_scan(bell, a, b, tol=1e-6)
+    ppt_res = ppt_threshold_scan(bell, tol=1e-6)
     if abs(srpt_res.x_critical - 0.5) > 1e-6:
         failures.append(f"srpt threshold {srpt_res.x_critical}")
     if abs(ppt_res.x_critical - 1 / 3) > 1e-6:
@@ -98,8 +97,8 @@ def test_criterion_02_multipartite_werner_thresholds():
     failures = []
     for n in (3, 4, 5):
         a, b = werner_multipartite_pair(n)
-        srpt_res = threshold_scan(lambda x: werner(ghz(n), x), a, b, tol=1e-6)
-        ppt_res = ppt_threshold_scan(lambda x: werner(ghz(n), x), tol=1e-6)
+        srpt_res = threshold_scan(ghz(n), a, b, tol=1e-6)
+        ppt_res = ppt_threshold_scan(ghz(n), tol=1e-6)
         if abs(srpt_res.x_critical - 1 / (1 + 2 ** (n - 2))) > 1e-6:
             failures.append(f"N={n} srpt {srpt_res.x_critical}")
         if abs(ppt_res.x_critical - 1 / (1 + 2 ** (n - 1))) > 1e-6:

@@ -1,23 +1,41 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from srpt.criteria import is_admissible, srpt_evaluate
-from srpt.hilbert import HilbertSpace, density_from_pure, ket
+from srpt import search
+from srpt.criteria import AdmissibilityError, is_admissible, ppt_min_eigenvalue, srpt_evaluate
+from srpt.hilbert import PSD_TOL, HilbertSpace, density_from_pure, ket
 from srpt.search import (
     NoCrossingError,
+    _bisect_crossing,
     maximize_violation,
     ppt_threshold_scan,
     threshold_scan,
     werner_phi_threshold,
 )
 from srpt.states import ghz, schmidt_state, werner
-from srpt.witnesses import werner_bipartite_pair, werner_multipartite_pair
+from srpt.witnesses import prop1_pair, werner_bipartite_pair, werner_multipartite_pair
 
 BELL = schmidt_state((1.0, 1.0), (2, 2))
+TILTED = schmidt_state((0.8, 0.6), (2, 2))
+SCHMIDT_23 = schmidt_state((0.8, 0.6), (2, 3))
 
 
 def bell_family(x):
     return werner(BELL, x)
+
+
+def dense_srpt_scan(psi, a, b, k=0, tol=1e-6):
+    """Reference: bisection on dense evaluations of werner(psi, x) at every point."""
+    return _bisect_crossing(
+        lambda x: srpt_evaluate(werner(psi, x), a, b, k, check_admissibility=False).violated, tol)
+
+
+def dense_ppt_scan(psi, k=0, tol=1e-6):
+    """Reference: bisection on the dense PPT spectrum of werner(psi, x) at every point."""
+    return _bisect_crossing(lambda x: ppt_min_eigenvalue(werner(psi, x), k) < -PSD_TOL, tol)
 
 
 # --- threshold scans -------------------------------------------------------------
@@ -25,42 +43,81 @@ def bell_family(x):
 
 def test_bell_srpt_threshold():
     a, b = werner_bipartite_pair(0.0)
-    res = threshold_scan(bell_family, a, b)
+    res = threshold_scan(BELL, a, b)
     assert res.x_critical == pytest.approx(0.5, abs=1e-6)
     assert res.bracket[1] - res.bracket[0] <= res.tolerance
     assert res.evaluations > 21
 
 
 def test_bell_ppt_threshold():
-    res = ppt_threshold_scan(bell_family)
+    res = ppt_threshold_scan(BELL)
     assert res.x_critical == pytest.approx(1 / 3, abs=1e-6)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_multipartite_thresholds(n):
     a, b = werner_multipartite_pair(n)
-    srpt_res = threshold_scan(lambda x: werner(ghz(n), x), a, b)
-    ppt_res = ppt_threshold_scan(lambda x: werner(ghz(n), x))
+    srpt_res = threshold_scan(ghz(n), a, b)
+    ppt_res = ppt_threshold_scan(ghz(n))
     assert srpt_res.x_critical == pytest.approx(1 / (1 + 2 ** (n - 2)), abs=1e-6)
     assert ppt_res.x_critical == pytest.approx(1 / (1 + 2 ** (n - 1)), abs=1e-6)
 
 
 def test_ppt_threshold_for_tilted_schmidt_state():
-    psi = schmidt_state((0.8, 0.6), (2, 2))
-    res = ppt_threshold_scan(lambda x: werner(psi, x))
+    res = ppt_threshold_scan(TILTED)
     assert res.x_critical == pytest.approx(1 / (1 + 4 * 0.8 * 0.6), abs=1e-6)
+
+
+@pytest.mark.parametrize("psi, pair, k", [
+    *(pytest.param(ghz(n), werner_multipartite_pair(n), 0, id=f"ghz{n}") for n in range(3, 7)),
+    pytest.param(BELL, werner_bipartite_pair(0.0), 0, id="bell"),
+    pytest.param(TILTED, werner_bipartite_pair(0.0), 0, id="tilted"),
+    *(pytest.param(SCHMIDT_23, prop1_pair(SCHMIDT_23.space, 0, 1), k, id=f"schmidt23-k{k}")
+      for k in (0, 1)),
+])
+def test_scans_match_dense_reference(psi, pair, k):
+    assert threshold_scan(psi, *pair, k) == dense_srpt_scan(psi, *pair, k)
+    assert ppt_threshold_scan(psi, k) == dense_ppt_scan(psi, k)
+
+
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi))
+def test_werner_phi_scans_match_dense_reference(theta, phi):
+    a, b = math.cos(theta), math.sin(theta)
+    assume(abs(a * b * math.cos(phi)) >= 0.15)
+    psi = schmidt_state((a, b), (2, 2))
+    pair = werner_bipartite_pair(phi)
+    assert threshold_scan(psi, *pair) == dense_srpt_scan(psi, *pair)
+    assert ppt_threshold_scan(psi) == dense_ppt_scan(psi)
+
+
+def test_scans_raise_when_the_dense_certification_disagrees(monkeypatch):
+    # the certification now evaluates the maximally mixed state, which no test detects
+    monkeypatch.setattr(search, "werner", lambda psi, x: werner(psi, 0.0))
+    a, b = werner_bipartite_pair(0.0)
+    with pytest.raises(ArithmeticError):
+        threshold_scan(BELL, a, b)
+    with pytest.raises(ArithmeticError):
+        ppt_threshold_scan(BELL)
+
+
+def test_scans_take_a_state_vector():
+    a, b = werner_bipartite_pair(0.0)
+    with pytest.raises(TypeError):
+        threshold_scan(bell_family, a, b)
+    with pytest.raises(TypeError):
+        ppt_threshold_scan(bell_family)
 
 
 def test_scan_is_deterministic():
     a, b = werner_bipartite_pair(0.0)
-    first = threshold_scan(bell_family, a, b)
-    second = threshold_scan(bell_family, a, b)
+    first = threshold_scan(BELL, a, b)
+    second = threshold_scan(BELL, a, b)
     assert first == second
 
 
 def test_scan_bracket_properties():
     a, b = werner_bipartite_pair(0.0)
-    res = threshold_scan(bell_family, a, b)
+    res = threshold_scan(BELL, a, b)
     lo, hi = res.bracket
     assert srpt_evaluate(bell_family(lo), a, b).slack <= 1e-9
     assert srpt_evaluate(bell_family(hi), a, b).slack > 1e-9
@@ -72,29 +129,32 @@ def test_scan_reports_no_crossing():
     product = schmidt_state((1.0, 0.0), (2, 2))
     a, b = werner_bipartite_pair(0.0)
     with pytest.raises(NoCrossingError):
-        threshold_scan(lambda x: werner(product, x), a, b)
+        threshold_scan(product, a, b)
 
 
-def test_scan_refuses_inadmissible_witness():
+def test_scan_refuses_inadmissible_witness(monkeypatch):
     import srpt.hilbert as h
-    from srpt.criteria import AdmissibilityError
 
+    def no_bisection(*args):
+        raise AssertionError("bisection started before the admissibility check")
+
+    monkeypatch.setattr(search, "_bisect_crossing", no_bisection)
     bad = h.Observable(HilbertSpace((2, 2)),
                        np.kron(h.PAULI_X, h.PAULI_Y) + np.kron(h.PAULI_Y, h.PAULI_X))
     a, _ = werner_bipartite_pair(0.0)
     with pytest.raises(AdmissibilityError):
-        threshold_scan(bell_family, a, bad)
+        threshold_scan(BELL, a, bad)
 
 
 def test_srpt_threshold_never_below_ppt():
     families = [
-        (bell_family, werner_bipartite_pair(0.0)),
-        (lambda x: werner(ghz(3), x), werner_multipartite_pair(3)),
-        (lambda x: werner(schmidt_state((0.8, 0.6), (2, 2)), x), werner_bipartite_pair(0.0)),
+        (BELL, werner_bipartite_pair(0.0)),
+        (ghz(3), werner_multipartite_pair(3)),
+        (TILTED, werner_bipartite_pair(0.0)),
     ]
-    for family, (a, b) in families:
-        srpt_res = threshold_scan(family, a, b)
-        ppt_res = ppt_threshold_scan(family)
+    for psi, (a, b) in families:
+        srpt_res = threshold_scan(psi, a, b)
+        ppt_res = ppt_threshold_scan(psi)
         assert srpt_res.x_critical >= ppt_res.x_critical - 1e-6
 
 
