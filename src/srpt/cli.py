@@ -25,20 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import VIOLATION_TOL, CompiledWitness, duan_criterion, is_admissible, srpt_evaluate
+from .criteria import VIOLATION_TOL, CompiledWitness, duan_criterion, srpt_evaluate
 from .hilbert import (
     HilbertSpace,
     Observable,
     PAULI_X,
     PAULI_Y,
-    anticommutator,
     density_from_pure,
     density_from_json,
     dumps_canonical,
     format_float,
     observable_from_json,
     observable_to_json,
-    partial_transpose,
     require_same_space,
 )
 from .search import (
@@ -204,7 +202,7 @@ def _run_multiphoton(p: dict) -> dict:
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
     re_ag = ((np.conj(alpha) * gamma) / norm**2).real
 
-    anti = partial_transpose(anticommutator(a, b)).matrix
+    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = INV_SQRT2
@@ -243,9 +241,9 @@ def _run_bad_observable_demo(p: dict) -> dict:
     zero = density_from_pure(schmidt_state((1.0, 0.0), (2, 2)))
     a = Observable(space, np.kron(PAULI_X, PAULI_X))
     b = Observable(space, np.kron(PAULI_X, PAULI_Y) + np.kron(PAULI_Y, PAULI_X))
-    adm_a = is_admissible(a)
-    adm_b = is_admissible(b)
-    report = srpt_evaluate(zero, a, b, check_admissibility=False)
+    witness = CompiledWitness(a, b, 0)
+    adm_a, adm_b = witness.admissibility()
+    report = witness.report(zero.matrix)
     checks = [
         _check("violated_despite_separable", report.violated, True,
                "theory: the inequality is violated with unsuitable observables"),

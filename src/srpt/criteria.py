@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,14 +125,6 @@ def _admissibility(residual: float) -> AdmissibilityReport:
     return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
 
 
-def _raise_if_inadmissible(residuals: Iterable[float]) -> None:
-    """Raise AdmissibilityError naming the first of A, B whose residual exceeds
-    ADMISSIBILITY_TOL; residuals are consumed lazily, A first."""
-    for label, residual in zip("AB", residuals):
-        if not residual <= ADMISSIBILITY_TOL:
-            raise AdmissibilityError(label, residual)
-
-
 class CompiledWitness:
     """The SRPT operators of the pair (A, B) at subsystem k, formed once.
 
@@ -155,18 +147,16 @@ class CompiledWitness:
         self.a, self.b, self.k = a, b, k
         self.operators = (a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff)
 
-    def residuals(self) -> Iterator[float]:
-        """||(M')^2 - (M^2)'|| for M = A, then B, each computed when consumed."""
-        for m, m_eff_sq in ((self.a, self.operators[1]), (self.b, self.operators[3])):
-            yield _residual(m, m_eff_sq, self.k)
-
     def admissibility(self) -> tuple[AdmissibilityReport, AdmissibilityReport]:
-        """The admissibility reports of A and B at k."""
-        return tuple(_admissibility(r) for r in self.residuals())
+        """The admissibility reports of A and B at k, from ||(M')^2 - (M^2)'||."""
+        return (_admissibility(_residual(self.a, self.operators[1], self.k)),
+                _admissibility(_residual(self.b, self.operators[3], self.k)))
 
     def check_admissibility(self) -> None:
         """Raise AdmissibilityError naming the first of A, B that is not admissible at k."""
-        _raise_if_inadmissible(self.residuals())
+        for label, adm in zip("AB", self.admissibility()):
+            if not adm.admissible:
+                raise AdmissibilityError(label, adm.residual)
 
     def report(self, rho_matrix: np.ndarray) -> UncertaintyReport:
         """The report of the density matrix rho_matrix, on the pair's space."""
@@ -197,10 +187,11 @@ def srpt_evaluate(
 
     A violation (slack > VIOLATION_TOL) certifies entanglement of rho across
     the (k | rest) cut, provided both observables are admissible at k, i.e.
-    their residual ||(M^G)^2 - (M^2)^G|| is at most ADMISSIBILITY_TOL.  A
-    checked evaluation takes (M^G)^2 from the transposed squares it evaluates
-    with; is_admissible computes the same residual.  Both tolerances are
-    module constants, not parameters, and the reports echo them
+    their residual ||(M^G)^2 - (M^2)^G|| is at most ADMISSIBILITY_TOL.  The
+    pair is compiled once into a CompiledWitness; a checked evaluation raises
+    through its check_admissibility, as the threshold scans do, and `srpt
+    check` reports the same residuals from its admissibility().  Both
+    tolerances are module constants, not parameters, and the reports echo them
     (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
     test's tolerance is hilbert.PSD_TOL.  The unchecked mode exists only to
     demonstrate what goes wrong with unsuitable observables; with

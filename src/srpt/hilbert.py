@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,13 +45,9 @@ def _locked(array, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max elementwise |M - M^dagger|."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
-
-
 def _require_hermitian(matrix: np.ndarray, what: str) -> None:
-    defect = hermiticity_defect(matrix)
+    """Raise unless the max elementwise |M - M^dagger| is within HERMITICITY_TOL."""
+    defect = float(np.max(np.abs(matrix - matrix.conj().T)))
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} not Hermitian: defect {defect}")
 
@@ -104,28 +100,21 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    Positivity may be skipped at construction (check_positive=False) for
-    objects that are density-matrix shaped but intentionally non-positive,
-    such as the partial transpose of an entangled state.
-    """
+    """Hermitian, unit-trace, positive-semidefinite operator."""
 
     space: HilbertSpace
     matrix: np.ndarray
-    check_positive: InitVar[bool] = True
 
-    def __post_init__(self, check_positive: bool):
+    def __post_init__(self):
         d = self.space.total_dim
         mat = _locked(self.matrix, (d, d), "density matrix")
         _require_hermitian(mat, "density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-        if check_positive:
-            lowest = _lowest_eigenvalue(mat)
-            if lowest < -PSD_TOL:
-                raise ValueError(f"density matrix has negative eigenvalue {lowest}")
+        lowest = _lowest_eigenvalue(mat)
+        if lowest < -PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest}")
         object.__setattr__(self, "matrix", mat)
 
 
@@ -150,13 +139,6 @@ def basis_index(space: HilbertSpace, levels: Sequence[int]) -> int:
     return int(np.ravel_multi_index(tuple(int(l) for l in levels), space.dims))
 
 
-def ket(space: HilbertSpace, levels: Sequence[int]) -> StateVector:
-    """Product basis state |levels> as a StateVector."""
-    amp = np.zeros(space.total_dim, dtype=complex)
-    amp[basis_index(space, levels)] = 1.0
-    return StateVector(space, amp)
-
-
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of raw matrices, left to right."""
     mats = list(factors)
@@ -166,25 +148,6 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-def tensor(*factors) -> Observable:
-    """Tensor product of observables (or raw Hermitian matrices) in subsystem order."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    dims: list[int] = []
-    mats: list[np.ndarray] = []
-    for f in factors:
-        if isinstance(f, Observable):
-            dims.extend(f.space.dims)
-            mats.append(f.matrix)
-        else:
-            m = np.asarray(f, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"tensor factors must be square, got shape {m.shape}")
-            dims.append(m.shape[0])
-            mats.append(m)
-    return Observable(HilbertSpace(tuple(dims)), kron_all(mats))
 
 
 def partial_transpose_matrix(matrix: np.ndarray, dims: Sequence[int], k: int) -> np.ndarray:
@@ -199,24 +162,6 @@ def partial_transpose_matrix(matrix: np.ndarray, dims: Sequence[int], k: int) ->
     t = matrix.reshape(dims + dims)
     t = t.swapaxes(k, n + k)
     return np.ascontiguousarray(t.reshape(d, d))
-
-
-def partial_transpose(m, k: int = 0):
-    """Partial transpose of an Observable or DensityMatrix at subsystem k.
-
-    Returns the same kind as the input.  For density matrices the result
-    keeps unit trace and Hermiticity but may be non-positive; positivity
-    validation is deliberately skipped.
-    """
-    if isinstance(m, Observable):
-        return Observable(m.space, partial_transpose_matrix(m.matrix, m.space.dims, k))
-    if isinstance(m, DensityMatrix):
-        return DensityMatrix(
-            m.space,
-            partial_transpose_matrix(m.matrix, m.space.dims, k),
-            check_positive=False,
-        )
-    raise TypeError(f"cannot partially transpose {type(m).__name__}")
 
 
 def require_same_space(rho, m):
@@ -249,37 +194,12 @@ def clamp_variance(var: float) -> float:
     return max(var, 0.0)
 
 
-def expectation(rho: DensityMatrix, m: Observable) -> float:
-    """Re tr(rho M); asserts the imaginary part is numerical noise."""
-    require_same_space(rho, m)
-    return real_trace_product(rho.matrix, m.matrix)
-
-
 def moments(expect: complex, expect_sq: complex) -> tuple[float, float]:
     """Mean <M> and variance <M^2> - <M>^2 of a Hermitian M, given the
     expectation values <M> and <M^2>; the variance is clamped to 0 if within
     tolerance below."""
     mean = real_part(expect)
     return mean, clamp_variance(real_part(expect_sq) - mean * mean)
-
-
-def variance(rho: DensityMatrix, m: Observable) -> float:
-    """tr(rho M^2) - tr(rho M)^2, clamped to 0 if within tolerance below."""
-    require_same_space(rho, m)
-    return moments(trace_product(rho.matrix, m.matrix),
-                   trace_product(rho.matrix, m.matrix @ m.matrix))[1]
-
-
-def commutator(m: Observable, n: Observable) -> np.ndarray:
-    """MN - NM as a raw (anti-Hermitian) matrix."""
-    require_same_space(m, n)
-    return m.matrix @ n.matrix - n.matrix @ m.matrix
-
-
-def anticommutator(m: Observable, n: Observable) -> Observable:
-    """MN + NM."""
-    require_same_space(m, n)
-    return Observable(m.space, m.matrix @ n.matrix + n.matrix @ m.matrix)
 
 
 def _hermitian_matrix(h) -> np.ndarray:
@@ -338,12 +258,6 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled quadratures a^dag + a and i(a^dag - a) of a truncated mode."""
     low = annihilation(dim)
     return low.conj().T + low, 1j * (low.conj().T - low)
-
-
-def number_operator(dim: int) -> Observable:
-    if dim < 2:
-        raise ValueError(f"mode dimension must be >= 2, got {dim}")
-    return Observable(HilbertSpace((dim,)), np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
 # --- JSON interchange -------------------------------------------------------

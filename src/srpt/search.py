@@ -102,6 +102,8 @@ class NoCrossingError(RuntimeError):
 
 
 def _bisect_crossing(detected: Callable[[float], bool], tol: float) -> ThresholdResult:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     xs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
     flags = [detected(float(x)) for x in xs]
     evaluations = len(flags)
@@ -115,6 +117,8 @@ def _bisect_crossing(detected: Callable[[float], bool], tol: float) -> Threshold
     lo, hi = float(xs[changes[0]]), float(xs[changes[0] + 1])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         evaluations += 1
         if detected(mid):
             hi = mid
@@ -141,23 +145,6 @@ def _require_state(psi: StateVector) -> None:
         raise TypeError(f"expected StateVector, got {type(psi).__name__}")
 
 
-def _werner_expectations(
-    psi: StateVector, a: Observable, b: Observable, k: int
-) -> list[tuple[complex, complex]]:
-    """(<psi|O|psi>, tr(O)/d) for each operator O of the admissible witness
-    (a, b) at k: its expectations at both ends of werner(psi, x).  The
-    witness is dropped on return, so its operators are freed before the
-    scan's dense certification forms its own."""
-    _require_state(psi)
-    require_same_space(psi, a)
-    witness = CompiledWitness(a, b, k)
-    witness.check_admissibility()
-    amp = psi.amplitudes
-    d = psi.space.total_dim
-    return [(complex(np.vdot(amp, op @ amp)), complex(np.trace(op)) / d)
-            for op in witness.operators]
-
-
 def threshold_scan(
     psi: StateVector, a: Observable, b: Observable, k: int = 0, tol: float = 1e-6
 ) -> ThresholdResult:
@@ -167,16 +154,24 @@ def threshold_scan(
     The pair is compiled and checked for admissibility once.  Every
     expectation value is affine in x, so <psi|O|psi> and tr(O)/d are taken
     once per operator and each scan point costs O(1).  The point at the
-    bracket's upper end is then evaluated densely, with a checked
-    srpt_evaluate of werner(psi, x), and must give the same verdict.
+    bracket's upper end is then evaluated densely, with the same compiled
+    witness on the density matrix of werner(psi, x), and must give the same
+    verdict.
     """
-    ends = _werner_expectations(psi, a, b, k)
+    _require_state(psi)
+    require_same_space(psi, a)
+    witness = CompiledWitness(a, b, k)
+    witness.check_admissibility()
+    amp = psi.amplitudes
+    d = psi.space.total_dim
+    ends = [(complex(np.vdot(amp, op @ amp)), complex(np.trace(op)) / d)
+            for op in witness.operators]
 
     def detected(x: float) -> bool:
         return _build_report([x * pure + (1.0 - x) * mixed for pure, mixed in ends]).violated
 
     return _certified_scan(
-        detected, lambda x: srpt_evaluate(werner(psi, x), a, b, k).violated, tol
+        detected, lambda x: witness.report(werner(psi, x).matrix).violated, tol
     )
 
 

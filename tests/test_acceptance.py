@@ -9,17 +9,21 @@ import time
 
 import numpy as np
 
-from srpt.criteria import duan_criterion, is_admissible, sr_uncertainty, srpt_evaluate
+from srpt.criteria import (
+    CompiledWitness,
+    duan_criterion,
+    is_admissible,
+    sr_uncertainty,
+    srpt_evaluate,
+)
 from srpt.hilbert import (
     PAULI_X,
     PAULI_Y,
     DensityMatrix,
     HilbertSpace,
     Observable,
-    anticommutator,
     density_from_pure,
     kron_all,
-    partial_transpose_matrix,
 )
 from srpt.search import ppt_threshold_scan, threshold_scan, werner_phi_threshold
 from srpt.states import (
@@ -331,7 +335,7 @@ def test_criterion_11_multiphoton():
     rng = np.random.default_rng(606)
     a, b = multiphoton_pair()
 
-    anti = partial_transpose_matrix(anticommutator(a, b).matrix, (3, 3), 0)
+    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = 1 / math.sqrt(2)

@@ -56,6 +56,14 @@ def test_run_coarse_tolerance_mismatch_exits_2(capsys):
     assert doc["passed"] is False
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_run_rejects_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    assert main(["run", "werner-bell", "--param", f"tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol must be a finite positive number")
+    assert captured.out == ""
+
+
 def test_run_bad_observable_demo(capsys):
     assert main(["run", "bad-observable-demo"]) == 0
     doc = json.loads(capsys.readouterr().out)

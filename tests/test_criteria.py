@@ -22,13 +22,13 @@ from srpt.hilbert import (
     StateVector,
     annihilation,
     density_from_pure,
-    ket,
     kron_all,
-    partial_transpose,
-    tensor,
+    partial_transpose_matrix,
 )
 from srpt.states import random_pure, random_separable, schmidt_state, werner
 from srpt.witnesses import Prop2Params, prop1_pair, prop2_observable
+
+from helpers import basis_state, kron_observable
 
 Q1 = HilbertSpace((2,))
 Q2 = HilbertSpace((2, 2))
@@ -53,7 +53,7 @@ def bad_observable():
 
 
 def test_sr_saturated_on_pauli_pair():
-    rho = density_from_pure(ket(Q1, (0,)))
+    rho = density_from_pure(basis_state(Q1, (0,)))
     rep = sr_uncertainty(rho, Observable(Q1, PAULI_X), Observable(Q1, PAULI_Y))
     assert rep.lhs == pytest.approx(1.0)
     assert rep.comm_term == pytest.approx(1.0)
@@ -71,7 +71,7 @@ def test_sr_maximally_mixed_kills_rhs():
 
 
 def test_sr_common_eigenstate_all_zero():
-    rho = density_from_pure(ket(Q1, (0,)))
+    rho = density_from_pure(basis_state(Q1, (0,)))
     z = Observable(Q1, PAULI_Z)
     rep = sr_uncertainty(rho, z, z)
     for value in (rep.lhs, rep.comm_term, rep.anticomm_term, rep.rhs, rep.slack):
@@ -94,7 +94,7 @@ def test_sr_never_violated(seed):
 
 
 def test_report_serialization_fields():
-    rho = density_from_pure(ket(Q1, (0,)))
+    rho = density_from_pure(basis_state(Q1, (0,)))
     rep = sr_uncertainty(rho, Observable(Q1, PAULI_X), Observable(Q1, PAULI_Y))
     doc = rep.to_dict()
     assert set(doc) == {"lhs", "comm_term", "anticomm_term", "rhs", "slack",
@@ -105,7 +105,7 @@ def test_report_serialization_fields():
 
 
 def test_sigma_xx_admissible_exactly():
-    rep = is_admissible(tensor(PAULI_X, PAULI_X))
+    rep = is_admissible(kron_observable(PAULI_X, PAULI_X))
     assert rep.residual == 0.0
     assert rep.admissible
 
@@ -119,7 +119,7 @@ def test_counterexample_inadmissible():
 def test_products_always_admissible():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        obs = tensor(rand_herm(rng, 2), rand_herm(rng, 3))
+        obs = kron_observable(rand_herm(rng, 2), rand_herm(rng, 3))
         assert is_admissible(obs).residual <= 1e-12
 
 
@@ -146,15 +146,15 @@ def test_srpt_separable_schmidt_edge():
 def test_srpt_werner_closed_forms():
     x = 0.6
     rho = werner(schmidt_state((1.0, 1.0), (2, 2)), x)
-    rep = srpt_evaluate(rho, tensor(PAULI_Z, PAULI_Z), tensor(PAULI_X, PAULI_X))
+    rep = srpt_evaluate(rho, kron_observable(PAULI_Z, PAULI_Z), kron_observable(PAULI_X, PAULI_X))
     assert rep.lhs == pytest.approx((1 - x * x) ** 2, abs=1e-12)
     assert rep.rhs == pytest.approx(x * x * (1 + x) ** 2, abs=1e-12)
     assert rep.violated
 
 
 def test_srpt_unchecked_counterexample():
-    rho = density_from_pure(ket(Q2, (0, 0)))
-    a = tensor(PAULI_X, PAULI_X)
+    rho = density_from_pure(basis_state(Q2, (0, 0)))
+    a = kron_observable(PAULI_X, PAULI_X)
     rep = srpt_evaluate(rho, a, bad_observable(), check_admissibility=False)
     assert rep.lhs == pytest.approx(0.0, abs=1e-14)
     assert rep.comm_term == pytest.approx(4.0)
@@ -163,15 +163,15 @@ def test_srpt_unchecked_counterexample():
 
 
 def test_srpt_checked_mode_refuses_bad_observable():
-    rho = density_from_pure(ket(Q2, (0, 0)))
+    rho = density_from_pure(basis_state(Q2, (0, 0)))
     with pytest.raises(AdmissibilityError) as err:
-        srpt_evaluate(rho, tensor(PAULI_X, PAULI_X), bad_observable())
+        srpt_evaluate(rho, kron_observable(PAULI_X, PAULI_X), bad_observable())
     assert err.value.label == "B"
     assert err.value.residual == pytest.approx(8.0)
 
 
 def test_srpt_dimension_mismatch():
-    rho = density_from_pure(ket(Q2, (0, 0)))
+    rho = density_from_pure(basis_state(Q2, (0, 0)))
     with pytest.raises(ValueError):
         srpt_evaluate(rho, Observable(Q1, PAULI_X), Observable(Q1, PAULI_Y))
 
@@ -182,10 +182,10 @@ def test_srpt_equals_sr_on_transposed_state():
     a, b = prop1_pair(Q2, 0, 1)
     for seed in range(50):
         rho = random_separable((2, 2), terms=4, seed=seed)
-        sigma = partial_transpose(rho, 0)
-        assert min(np.linalg.eigvalsh(sigma.matrix)) >= -1e-10
+        sigma = partial_transpose_matrix(rho.matrix, (2, 2), 0)
+        assert min(np.linalg.eigvalsh(sigma)) >= -1e-10
         lhs_rep = srpt_evaluate(rho, a, b)
-        rhs_rep = sr_uncertainty(DensityMatrix(sigma.space, sigma.matrix), a, b)
+        rhs_rep = sr_uncertainty(DensityMatrix(rho.space, sigma), a, b)
         for field in ("lhs", "comm_term", "anticomm_term", "rhs", "slack"):
             assert getattr(lhs_rep, field) == pytest.approx(
                 getattr(rhs_rep, field), abs=1e-12)
@@ -282,7 +282,7 @@ def test_ppt_bell():
 
 
 def test_ppt_product_state_positive():
-    rho = density_from_pure(ket(HilbertSpace((2, 3)), (1, 2)))
+    rho = density_from_pure(basis_state(HilbertSpace((2, 3)), (1, 2)))
     assert ppt_min_eigenvalue(rho) >= -1e-10
 
 
@@ -296,7 +296,7 @@ def test_ppt_werner_crossing_at_one_third():
 
 
 def test_duan_vacuum_saturates():
-    vac = density_from_pure(ket(HilbertSpace((8, 8)), (0, 0)))
+    vac = density_from_pure(basis_state(HilbertSpace((8, 8)), (0, 0)))
     rep = duan_criterion(vac, [1.0])[0]
     assert rep.lhs_sum == pytest.approx(2.0, abs=1e-12)
     assert rep.bound == pytest.approx(2.0)
@@ -319,16 +319,16 @@ def test_duan_squeezed_mixture_violates():
 
 
 def test_duan_rejects_bad_inputs():
-    vac = density_from_pure(ket(HilbertSpace((4, 4)), (0, 0)))
+    vac = density_from_pure(basis_state(HilbertSpace((4, 4)), (0, 0)))
     with pytest.raises(ValueError):
         duan_criterion(vac, [0.0])[0]
-    three_modes = density_from_pure(ket(HilbertSpace((2, 2, 2)), (0, 0, 0)))
+    three_modes = density_from_pure(basis_state(HilbertSpace((2, 2, 2)), (0, 0, 0)))
     with pytest.raises(ValueError):
         duan_criterion(three_modes, [1.0])[0]
 
 
 def test_duan_bound_tracks_a_param():
-    vac = density_from_pure(ket(HilbertSpace((6, 6)), (0, 0)))
+    vac = density_from_pure(basis_state(HilbertSpace((6, 6)), (0, 0)))
     rep = duan_criterion(vac, [2.0])[0]
     assert rep.bound == pytest.approx(4.25)
     assert not rep.violated

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srpt.criteria import CompiledWitness, sr_uncertainty
 from srpt.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -11,25 +12,22 @@ from srpt.hilbert import (
     Observable,
     StateVector,
     annihilation,
-    anticommutator,
-    commutator,
+    basis_index,
     density_from_pure,
-    expectation,
     hermitian_eigensystem,
-    ket,
     min_eigenvalue,
     mix,
-    number_operator,
+    moments,
     observable_from_json,
     observable_to_json,
-    partial_transpose,
     partial_transpose_matrix,
     state_from_json,
     state_to_json,
-    tensor,
-    variance,
+    trace_product,
 )
 from srpt.states import schmidt_state, werner
+
+from helpers import basis_state, kron_observable
 
 Q2 = HilbertSpace((2, 2))
 
@@ -47,6 +45,10 @@ def rand_density(rng, dim):
 
 def bell_state():
     return schmidt_state((1.0, 1.0), (2, 2))
+
+
+def mean_and_variance(rho, m):
+    return moments(trace_product(rho.matrix, m), trace_product(rho.matrix, m @ m))
 
 
 # --- construction invariants --------------------------------------------------
@@ -95,55 +97,34 @@ def test_density_matrix_invariants():
         DensityMatrix(Q2, np.eye(4) / 2.0)  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(Q2, np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
-    pt_bell = partial_transpose(density_from_pure(bell_state()))
-    assert isinstance(pt_bell, DensityMatrix)  # non-positive but density-shaped
+    pt_bell = partial_transpose_matrix(density_from_pure(bell_state()).matrix, (2, 2), 0)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(Q2, pt_bell)  # Hermitian and unit-trace, but not positive
 
 
-# --- tensor -------------------------------------------------------------------
-
-
-def test_tensor_pauli_z_pair_is_diagonal():
-    obs = tensor(PAULI_Z, PAULI_Z)
-    assert np.allclose(obs.matrix, np.diag([1.0, -1.0, -1.0, 1.0]))
-    assert obs.space.dims == (2, 2)
-
-
-def test_tensor_identity_case():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)).matrix, np.eye(4))
+# --- basis convention ---------------------------------------------------------
 
 
 def test_tensor_triple_flip():
-    obs = tensor(PAULI_X, PAULI_X, PAULI_X)
-    zero = ket(HilbertSpace((2, 2, 2)), (0, 0, 0))
-    assert np.allclose(obs.matrix @ zero.amplitudes,
-                       ket(obs.space, (1, 1, 1)).amplitudes)
-
-
-def test_tensor_rejects_empty():
-    with pytest.raises(ValueError):
-        tensor()
-
-
-def test_tensor_associative():
-    rng = np.random.default_rng(5)
-    a, b, c = rand_herm(rng, 2), rand_herm(rng, 3), rand_herm(rng, 2)
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert np.max(np.abs(left.matrix - right.matrix)) <= 1e-12
-    assert left.space.dims == (2, 3, 2)
+    space = HilbertSpace((2, 2, 2))
+    flip = np.kron(np.kron(PAULI_X, PAULI_X), PAULI_X)
+    assert basis_index(space, (0, 0, 0)) == 0
+    assert basis_index(space, (1, 1, 1)) == 7
+    assert np.array_equal(flip @ basis_state(space, (0, 0, 0)).amplitudes,
+                          basis_state(space, (1, 1, 1)).amplitudes)
 
 
 # --- partial transpose ----------------------------------------------------------
 
 
 def test_partial_transpose_symmetric_factor_fixed():
-    obs = tensor(PAULI_Z, PAULI_Z)
-    assert np.allclose(partial_transpose(obs, 0).matrix, obs.matrix)
+    zz = np.kron(PAULI_Z, PAULI_Z)
+    assert np.allclose(partial_transpose_matrix(zz, (2, 2), 0), zz)
 
 
 def test_partial_transpose_sigma_y_flips_sign():
-    obs = tensor(PAULI_Y, PAULI_Y)
-    assert np.allclose(partial_transpose(obs, 0).matrix, -obs.matrix)
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    assert np.allclose(partial_transpose_matrix(yy, (2, 2), 0), -yy)
 
 
 def test_partial_transpose_index_swap_rule():
@@ -157,7 +138,7 @@ def test_partial_transpose_index_swap_rule():
 
 def test_partial_transpose_out_of_range():
     with pytest.raises(ValueError):
-        partial_transpose(tensor(PAULI_Z, PAULI_Z), 2)
+        partial_transpose_matrix(np.kron(PAULI_Z, PAULI_Z), (2, 2), 2)
 
 
 @settings(max_examples=100)
@@ -186,41 +167,45 @@ def test_transpose_shifts_between_state_and_operator(seed):
     assert abs(lhs - rhs) <= 1e-10
 
 
-# --- expectation / variance -----------------------------------------------------
+# --- moments / commutators ------------------------------------------------------
 
 
 def test_expectation_eigenstate():
-    rho = density_from_pure(ket(HilbertSpace((2,)), (0,)))
-    assert expectation(rho, Observable(HilbertSpace((2,)), PAULI_Z)) == pytest.approx(1.0)
+    rho = density_from_pure(basis_state(HilbertSpace((2,)), (0,)))
+    assert mean_and_variance(rho, PAULI_Z)[0] == pytest.approx(1.0)
 
 
 def test_expectation_traceless_on_maximally_mixed():
     rho = DensityMatrix(Q2, np.eye(4) / 4)
-    assert expectation(rho, tensor(PAULI_Z, PAULI_Z)) == pytest.approx(0.0, abs=1e-14)
+    assert mean_and_variance(rho, np.kron(PAULI_Z, PAULI_Z))[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_expectation_bell_sigma_xx():
     rho = density_from_pure(bell_state())
-    assert expectation(rho, tensor(PAULI_X, PAULI_X)) == pytest.approx(1.0)
+    assert mean_and_variance(rho, np.kron(PAULI_X, PAULI_X))[0] == pytest.approx(1.0)
 
 
 def test_expectation_dimension_mismatch():
     rho = DensityMatrix(Q2, np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        expectation(rho, Observable(HilbertSpace((2,)), PAULI_Z))
+    z = Observable(HilbertSpace((2,)), PAULI_Z)
+    with pytest.raises(ValueError, match="space mismatch"):
+        sr_uncertainty(rho, z, z)
 
 
 def test_variance_examples():
     single = HilbertSpace((2,))
-    rho0 = density_from_pure(ket(single, (0,)))
-    assert variance(rho0, Observable(single, PAULI_Z)) == pytest.approx(0.0, abs=1e-14)
-    assert variance(rho0, Observable(single, PAULI_X)) == pytest.approx(1.0)
+    rho0 = density_from_pure(basis_state(single, (0,)))
+    assert mean_and_variance(rho0, PAULI_Z)[1] == pytest.approx(0.0, abs=1e-14)
+    assert mean_and_variance(rho0, PAULI_X)[1] == pytest.approx(1.0)
+    # sr_uncertainty's lhs is the product of the two variances
+    x = Observable(single, PAULI_X)
+    assert sr_uncertainty(rho0, x, x).lhs == pytest.approx(1.0)
 
 
 def test_variance_transposed_werner_observable():
     rho = werner(bell_state(), 0.6)
-    obs = partial_transpose(tensor(PAULI_Z, PAULI_Z), 0)
-    assert variance(rho, obs) == pytest.approx(1.0 - 0.36, abs=1e-12)
+    obs = partial_transpose_matrix(np.kron(PAULI_Z, PAULI_Z), (2, 2), 0)
+    assert mean_and_variance(rho, obs)[1] == pytest.approx(1.0 - 0.36, abs=1e-12)
 
 
 @settings(max_examples=60)
@@ -228,22 +213,21 @@ def test_variance_transposed_werner_observable():
 def test_variance_nonnegative(seed):
     rng = np.random.default_rng(seed)
     rho = DensityMatrix(Q2, rand_density(rng, 4))
-    assert variance(rho, Observable(Q2, rand_herm(rng, 4))) >= 0.0
-
-
-# --- commutators ----------------------------------------------------------------
+    assert mean_and_variance(rho, rand_herm(rng, 4))[1] >= 0.0
 
 
 def test_pauli_commutator():
     single = HilbertSpace((2,))
     x, y = Observable(single, PAULI_X), Observable(single, PAULI_Y)
-    assert np.allclose(commutator(x, y), 2j * PAULI_Z)
-    assert np.allclose(anticommutator(x, y).matrix, np.zeros((2, 2)))
+    _, _, _, _, comm, anticomm = CompiledWitness(x, y, None).operators
+    assert np.allclose(comm, 2j * PAULI_Z)
+    assert np.allclose(anticomm, np.zeros((2, 2)))
 
 
 def test_zz_xx_commute():
-    assert np.allclose(commutator(tensor(PAULI_Z, PAULI_Z), tensor(PAULI_X, PAULI_X)),
-                       np.zeros((4, 4)))
+    witness = CompiledWitness(kron_observable(PAULI_Z, PAULI_Z),
+                              kron_observable(PAULI_X, PAULI_X), None)
+    assert np.allclose(witness.operators[4], np.zeros((4, 4)))
 
 
 # --- eigensolver ----------------------------------------------------------------
@@ -252,8 +236,8 @@ def test_zz_xx_commute():
 def test_min_eigenvalue_examples():
     assert min_eigenvalue(np.eye(4, dtype=complex)) == pytest.approx(1.0)
     assert min_eigenvalue(PAULI_Z) == pytest.approx(-1.0)
-    pt_bell = partial_transpose(density_from_pure(bell_state()))
-    assert min_eigenvalue(pt_bell.matrix) == pytest.approx(-0.5, abs=1e-12)
+    pt_bell = partial_transpose_matrix(density_from_pure(bell_state()).matrix, (2, 2), 0)
+    assert min_eigenvalue(pt_bell) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_min_eigenvalue_rejects_non_hermitian():
@@ -282,7 +266,7 @@ def test_eigensystem_reconstructs(seed):
 
 
 def test_density_from_pure():
-    rho = density_from_pure(ket(HilbertSpace((2,)), (0,)))
+    rho = density_from_pure(basis_state(HilbertSpace((2,)), (0,)))
     assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
 
 
@@ -293,13 +277,13 @@ def test_mix_identity_case():
 
 def test_mix_equal_weights():
     single = HilbertSpace((2,))
-    rho = mix([(0.5, density_from_pure(ket(single, (0,)))),
-               (0.5, density_from_pure(ket(single, (1,))))])
+    rho = mix([(0.5, density_from_pure(basis_state(single, (0,)))),
+               (0.5, density_from_pure(basis_state(single, (1,))))])
     assert np.allclose(rho.matrix, np.eye(2) / 2)
 
 
 def test_mix_rejects_bad_weights():
-    rho = density_from_pure(ket(HilbertSpace((2,)), (0,)))
+    rho = density_from_pure(basis_state(HilbertSpace((2,)), (0,)))
     with pytest.raises(ValueError):
         mix([(-0.1, rho), (1.1, rho)])
     with pytest.raises(ValueError):
@@ -318,7 +302,8 @@ def test_annihilation_lowers():
 
 
 def test_number_operator():
-    assert np.allclose(number_operator(3).matrix, np.diag([0.0, 1.0, 2.0]))
+    a = annihilation(3)
+    assert np.allclose(a.conj().T @ a, np.diag([0.0, 1.0, 2.0]))
 
 
 def test_truncated_commutator_artifact():
@@ -342,7 +327,7 @@ def test_state_json_round_trip():
 
 
 def test_observable_json_round_trip():
-    obs = tensor(PAULI_Y, PAULI_X)
+    obs = kron_observable(PAULI_Y, PAULI_X)
     back = observable_from_json(observable_to_json(obs))
     assert np.array_equal(back.matrix, obs.matrix)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from srpt import search
+from srpt import criteria, search
 from srpt.criteria import AdmissibilityError, is_admissible, ppt_min_eigenvalue, srpt_evaluate
-from srpt.hilbert import PSD_TOL, HilbertSpace, density_from_pure, ket
+from srpt.hilbert import PSD_TOL, HilbertSpace, density_from_pure
 from srpt.search import (
     NoCrossingError,
     _bisect_crossing,
@@ -17,6 +17,8 @@ from srpt.search import (
 )
 from srpt.states import ghz, schmidt_state, werner
 from srpt.witnesses import prop1_pair, werner_bipartite_pair, werner_multipartite_pair
+
+from helpers import basis_state
 
 BELL = schmidt_state((1.0, 1.0), (2, 2))
 TILTED = schmidt_state((0.8, 0.6), (2, 2))
@@ -146,6 +148,38 @@ def test_scan_refuses_inadmissible_witness(monkeypatch):
         threshold_scan(BELL, a, bad)
 
 
+def test_scan_compiles_its_pair_once(monkeypatch):
+    counts = {"compiled": 0, "residuals": 0}
+    compile_pair, residual = criteria.CompiledWitness.__init__, criteria._residual
+
+    def counting_compile(self, *args):
+        counts["compiled"] += 1
+        compile_pair(self, *args)
+
+    def counting_residual(*args):
+        counts["residuals"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
+    monkeypatch.setattr(criteria, "_residual", counting_residual)
+    threshold_scan(ghz(3), *werner_multipartite_pair(3))
+    assert counts == {"compiled": 1, "residuals": 2}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bisection_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite positive"):
+        _bisect_crossing(lambda x: x > 0.5, tol)
+
+
+def test_scan_below_float_spacing_stops_at_adjacent_floats():
+    res = threshold_scan(BELL, *werner_bipartite_pair(0.0), tol=1e-20)
+    lo, hi = res.bracket
+    assert np.nextafter(lo, 1.0) == hi
+    assert abs(res.x_critical - 0.5) <= 1e-6
+    assert res.evaluations < search.PRESCAN_POINTS + 64
+
+
 def test_srpt_threshold_never_below_ppt():
     families = [
         (BELL, werner_bipartite_pair(0.0)),
@@ -169,7 +203,7 @@ def test_maximize_prop2_finds_bell_violation():
 
 
 def test_maximize_prop2_product_state_stays_sound():
-    rho = density_from_pure(ket(HilbertSpace((2, 2)), (0, 0)))
+    rho = density_from_pure(basis_state(HilbertSpace((2, 2)), (0, 0)))
     result = maximize_violation(rho, "prop2", restarts=8, seed=5)
     assert result.best_report.slack <= 1e-9
 
@@ -193,7 +227,7 @@ def test_maximize_prop1_rejects_mixed_state():
 
 
 def test_maximize_rejects_unknown_family_and_space():
-    rho = density_from_pure(ket(HilbertSpace((2, 3)), (0, 0)))
+    rho = density_from_pure(basis_state(HilbertSpace((2, 3)), (0, 0)))
     with pytest.raises(ValueError):
         maximize_violation(rho, "prop2")
     with pytest.raises(ValueError):

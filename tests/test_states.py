@@ -9,7 +9,6 @@ from srpt.hilbert import (
     HilbertSpace,
     annihilation,
     density_from_pure,
-    ket,
     kron_all,
 )
 from srpt.search import maximize_violation
@@ -32,6 +31,8 @@ from srpt.witnesses import (
     prop1_pair,
     werner_multipartite_pair,
 )
+
+from helpers import basis_state
 
 
 # --- schmidt / acin / ghz / werner ------------------------------------------------
@@ -125,15 +126,17 @@ def test_werner_ghz3_threshold_brackets():
 def test_osc2d_n0_single_product_state():
     (state,) = oscillator2d_eigenstates(0)
     assert state.quantum_numbers == (0,)
-    assert np.array_equal(state.vector.amplitudes, ket(state.vector.space, (0, 0)).amplitudes)
+    assert np.array_equal(state.vector.amplitudes,
+                          basis_state(state.vector.space, (0, 0)).amplitudes)
 
 
 def test_osc2d_n1_circular_states():
     states = {s.quantum_numbers[0]: s for s in oscillator2d_eigenstates(1)}
     assert set(states) == {-1, 1}
     space = HilbertSpace((2, 2))
-    plus = (ket(space, (1, 0)).amplitudes + 1j * ket(space, (0, 1)).amplitudes) / math.sqrt(2)
-    minus = (ket(space, (1, 0)).amplitudes - 1j * ket(space, (0, 1)).amplitudes) / math.sqrt(2)
+    x1, y1 = (basis_state(space, levels).amplitudes for levels in ((1, 0), (0, 1)))
+    plus = (x1 + 1j * y1) / math.sqrt(2)
+    minus = (x1 - 1j * y1) / math.sqrt(2)
     # equality up to the fixed global phase
     assert abs(np.vdot(plus, states[1].vector.amplitudes)) == pytest.approx(1.0)
     assert abs(np.vdot(minus, states[-1].vector.amplitudes)) == pytest.approx(1.0)
@@ -175,7 +178,8 @@ def test_osc3d_n1_labels_and_product_state():
     assert set(states) == {(1, -1), (1, 0), (1, 1)}
     m0 = states[(1, 0)]
     # the m=0 member is the bare z-excitation |0,0,1>, a product state
-    assert np.array_equal(m0.vector.amplitudes, ket(m0.vector.space, (0, 0, 1)).amplitudes)
+    assert np.array_equal(m0.vector.amplitudes,
+                          basis_state(m0.vector.space, (0, 0, 1)).amplitudes)
 
 
 def test_osc3d_n2_labels_and_coefficients():

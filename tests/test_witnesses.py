@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from srpt.criteria import is_admissible, srpt_evaluate
+from srpt.criteria import CompiledWitness, is_admissible, srpt_evaluate
 from srpt.hilbert import (
     ID2,
     PAULI_X,
     PAULI_Y,
     HilbertSpace,
     Observable,
-    anticommutator,
     density_from_pure,
-    ket,
-    partial_transpose_matrix,
-    tensor,
 )
 from srpt.states import (
     acin_state,
@@ -36,6 +32,8 @@ from srpt.witnesses import (
     werner_bipartite_pair,
     werner_multipartite_pair,
 )
+
+from helpers import basis_state, kron_observable
 
 Q2 = HilbertSpace((2, 2))
 
@@ -158,7 +156,7 @@ def test_prop2_check_counterexample():
 
 
 def test_prop2_check_sigma_xx():
-    p = prop2_check(tensor(PAULI_X, PAULI_X))
+    p = prop2_check(kron_observable(PAULI_X, PAULI_X))
     assert np.allclose(p.a, [1, 0, 0])
     assert np.allclose(p.b, [1, 0, 0])
     assert np.allclose(p.c, 0) and np.allclose(p.d, 0) and p.eta == pytest.approx(0.0)
@@ -247,7 +245,7 @@ def test_osc2d_pair_n2_all_violate():
 
 def test_osc2d_pair_pure_number_state_not_detected():
     a, b = oscillator2d_pair(1)
-    rho = density_from_pure(ket(HilbertSpace((2, 2)), (1, 0)))
+    rho = density_from_pure(basis_state(HilbertSpace((2, 2)), (1, 0)))
     rep = srpt_evaluate(rho, a, b)
     assert rep.rhs == pytest.approx(0.0, abs=1e-14)
     assert not rep.violated
@@ -297,7 +295,7 @@ def test_multiphoton_exact_form():
 
 def test_multiphoton_anticommutator_is_projector_difference():
     a, b = multiphoton_pair()
-    anti = partial_transpose_matrix(anticommutator(a, b).matrix, (3, 3), 0)
+    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = 1 / np.sqrt(2)
