@@ -202,7 +202,7 @@ def _run_multiphoton(p: dict) -> dict:
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
     re_ag = ((np.conj(alpha) * gamma) / norm**2).real
 
-    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
+    anti = CompiledWitness(a, b, 0).anticommutator  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = INV_SQRT2

@@ -147,6 +147,16 @@ class CompiledWitness:
         self.a, self.b, self.k = a, b, k
         self.operators = (a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff)
 
+    @property
+    def commutator(self) -> np.ndarray:
+        """[A,B]' as a raw matrix."""
+        return self.operators[4]
+
+    @property
+    def anticommutator(self) -> np.ndarray:
+        """{A,B}' as a raw matrix."""
+        return self.operators[5]
+
     def admissibility(self) -> tuple[AdmissibilityReport, AdmissibilityReport]:
         """The admissibility reports of A and B at k, from ||(M')^2 - (M^2)'||."""
         return (_admissibility(_residual(self.a, self.operators[1], self.k)),
@@ -193,10 +203,11 @@ def srpt_evaluate(
     check` reports the same residuals from its admissibility().  Both
     tolerances are module constants, not parameters, and the reports echo them
     (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
-    test's tolerance is hilbert.PSD_TOL.  The unchecked mode exists only to
-    demonstrate what goes wrong with unsuitable observables; with
-    check_admissibility=False a "violation" on a separable state is possible
-    and meaningless.
+    test's tolerance is hilbert.PSD_TOL.  The unchecked mode is for pairs
+    already checked or admissible by construction (a scan's certification,
+    the prop2 search) and to demonstrate what goes wrong with unsuitable
+    observables; with check_admissibility=False a "violation" on a separable
+    state is possible and meaningless.
     """
     require_same_space(rho, a)
     require_same_space(rho, b)

@@ -154,9 +154,8 @@ def threshold_scan(
     The pair is compiled and checked for admissibility once.  Every
     expectation value is affine in x, so <psi|O|psi> and tr(O)/d are taken
     once per operator and each scan point costs O(1).  The point at the
-    bracket's upper end is then evaluated densely, with the same compiled
-    witness on the density matrix of werner(psi, x), and must give the same
-    verdict.
+    bracket's upper end is then evaluated densely, by an unchecked
+    srpt_evaluate of werner(psi, x), and must give the same verdict.
     """
     _require_state(psi)
     require_same_space(psi, a)
@@ -171,7 +170,9 @@ def threshold_scan(
         return _build_report([x * pure + (1.0 - x) * mixed for pure, mixed in ends]).violated
 
     return _certified_scan(
-        detected, lambda x: witness.report(werner(psi, x).matrix).violated, tol
+        detected,
+        lambda x: srpt_evaluate(werner(psi, x), a, b, k, check_admissibility=False).violated,
+        tol,
     )
 
 

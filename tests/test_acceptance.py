@@ -335,7 +335,7 @@ def test_criterion_11_multiphoton():
     rng = np.random.default_rng(606)
     a, b = multiphoton_pair()
 
-    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
+    anti = CompiledWitness(a, b, 0).anticommutator  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = 1 / math.sqrt(2)

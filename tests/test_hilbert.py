@@ -219,15 +219,15 @@ def test_variance_nonnegative(seed):
 def test_pauli_commutator():
     single = HilbertSpace((2,))
     x, y = Observable(single, PAULI_X), Observable(single, PAULI_Y)
-    _, _, _, _, comm, anticomm = CompiledWitness(x, y, None).operators
-    assert np.allclose(comm, 2j * PAULI_Z)
-    assert np.allclose(anticomm, np.zeros((2, 2)))
+    witness = CompiledWitness(x, y, None)
+    assert np.allclose(witness.commutator, 2j * PAULI_Z)
+    assert np.allclose(witness.anticommutator, np.zeros((2, 2)))
 
 
 def test_zz_xx_commute():
     witness = CompiledWitness(kron_observable(PAULI_Z, PAULI_Z),
                               kron_observable(PAULI_X, PAULI_X), None)
-    assert np.allclose(witness.operators[4], np.zeros((4, 4)))
+    assert np.allclose(witness.commutator, np.zeros((4, 4)))
 
 
 # --- eigensolver ----------------------------------------------------------------

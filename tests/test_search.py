@@ -148,9 +148,12 @@ def test_scan_refuses_inadmissible_witness(monkeypatch):
         threshold_scan(BELL, a, bad)
 
 
-def test_scan_compiles_its_pair_once(monkeypatch):
-    counts = {"compiled": 0, "residuals": 0}
+def test_scan_checks_admissibility_once(monkeypatch):
+    """One compile for the bisection, one unchecked srpt_evaluate for the
+    dense certification, and one residual pair in all."""
+    counts = {"compiled": 0, "residuals": 0, "dense": []}
     compile_pair, residual = criteria.CompiledWitness.__init__, criteria._residual
+    evaluate = search.srpt_evaluate
 
     def counting_compile(self, *args):
         counts["compiled"] += 1
@@ -160,10 +163,16 @@ def test_scan_compiles_its_pair_once(monkeypatch):
         counts["residuals"] += 1
         return residual(*args)
 
+    def recording_evaluate(*args, **kwargs):
+        counts["dense"].append(kwargs)
+        return evaluate(*args, **kwargs)
+
     monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
     monkeypatch.setattr(criteria, "_residual", counting_residual)
+    monkeypatch.setattr(search, "srpt_evaluate", recording_evaluate)
     threshold_scan(ghz(3), *werner_multipartite_pair(3))
-    assert counts == {"compiled": 1, "residuals": 2}
+    assert counts == {"compiled": 2, "residuals": 2,
+                      "dense": [{"check_admissibility": False}]}
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

@@ -295,7 +295,7 @@ def test_multiphoton_exact_form():
 
 def test_multiphoton_anticommutator_is_projector_difference():
     a, b = multiphoton_pair()
-    anti = CompiledWitness(a, b, 0).operators[5]  # {A,B}^G
+    anti = CompiledWitness(a, b, 0).anticommutator  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = 1 / np.sqrt(2)
