@@ -31,13 +31,11 @@ from .hilbert import (
     Observable,
     PAULI_X,
     PAULI_Y,
-    density_from_pure,
     density_from_json,
     dumps_canonical,
     format_float,
     observable_from_json,
     observable_to_json,
-    require_same_space,
 )
 from .search import (
     NoCrossingError,
@@ -119,9 +117,9 @@ def _run_ghzn_scan(p: dict) -> dict:
 def _run_cat(p: dict) -> dict:
     alpha, beta, truncation = p["alpha"], p["beta"], p["truncation"]
     a1, a2, b1, b2 = -beta, beta, alpha, -alpha
-    rho = density_from_pure(cat_state(alpha, beta, truncation))
+    psi = cat_state(alpha, beta, truncation)
     a, b = cat_quadratures(a1, a2, b1, b2, truncation)
-    report = srpt_evaluate(rho, a, b)
+    report = srpt_evaluate(psi, a, b)
 
     norm_sq = 2.0 + 2.0 * math.exp(-2.0 * alpha**2 - 2.0 * beta**2)
     var_a = a1**2 + b1**2 + 8.0 * (a1 * alpha + b1 * beta) ** 2 / norm_sq
@@ -142,9 +140,9 @@ def _run_cat(p: dict) -> dict:
 
 
 def _run_duan_cat(p: dict) -> dict:
-    rho = density_from_pure(cat_state(p["alpha"], p["beta"], p["truncation"]))
+    psi = cat_state(p["alpha"], p["beta"], p["truncation"])
     grid = np.linspace(0.25, 4.0, p["points"])
-    records = [r.to_dict() for r in duan_criterion(rho, grid)]
+    records = [r.to_dict() for r in duan_criterion(psi, grid)]
     any_violation = any(r["violated"] for r in records)
     checks = [
         _check("any_violation", any_violation, False,
@@ -155,11 +153,12 @@ def _run_duan_cat(p: dict) -> dict:
 
 def _run_osc2d(p: dict) -> dict:
     n = p["n"]
-    a, b = oscillator2d_pair(n)
+    witness = CompiledWitness(*oscillator2d_pair(n), 0)
+    witness.check_admissibility()
     records = []
     checks = []
     for state in oscillator2d_eigenstates(n):
-        report = srpt_evaluate(density_from_pure(state.vector), a, b)
+        report = witness.report(state.vector)
         expected = abs(state.coeffs[0]) ** 2 * abs(state.coeffs[n]) ** 2
         m = state.quantum_numbers[0]
         records.append({"M": m, **report.to_dict()})
@@ -174,13 +173,22 @@ def _run_osc3d(p: dict) -> dict:
     n = p["n"]
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    eigenstates = oscillator3d_eigenstates(n)
+    members = {}  # witness m -> indices of the eigenstates it evaluates
+    for i, state in enumerate(eigenstates):
+        m = state.quantum_numbers[1]
+        members.setdefault(m if (m != 0 or n >= 2) else 1, []).append(i)
+    reports = [None] * len(eigenstates)
+    for witness_m, indices in members.items():
+        witness = CompiledWitness(*oscillator3d_pair(n, witness_m), 0)
+        witness.check_admissibility()
+        for i in indices:
+            reports[i] = witness.report(eigenstates[i].vector)
+        del witness  # one compiled witness alive at a time
     records = []
     checks = []
-    for state in oscillator3d_eigenstates(n):
+    for state, report in zip(eigenstates, reports):
         l, m = state.quantum_numbers
-        witness_m = m if (m != 0 or n >= 2) else 1
-        a, b = oscillator3d_pair(n, witness_m)
-        report = srpt_evaluate(density_from_pure(state.vector), a, b)
         entangled = n > 1 or (n == 1 and m != 0)
         records.append({"l": l, "m": m, **report.to_dict()})
         checks.append(_check(f"violated[l={l},m={m}]", report.violated, entangled,
@@ -196,13 +204,14 @@ def _run_osc3d(p: dict) -> dict:
 def _run_multiphoton(p: dict) -> dict:
     alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
     psi = multiphoton_state(alpha, beta, gamma)
-    a, b = multiphoton_pair()
-    report = srpt_evaluate(density_from_pure(psi), a, b)
+    witness = CompiledWitness(*multiphoton_pair(), 0)
+    witness.check_admissibility()
+    report = witness.report(psi)
 
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2)
     re_ag = ((np.conj(alpha) * gamma) / norm**2).real
 
-    anti = CompiledWitness(a, b, 0).anticommutator  # {A,B}^G
+    anti = witness.anticommutator  # {A,B}^G
     plus = np.zeros(9, dtype=complex)
     minus = np.zeros(9, dtype=complex)
     plus[2] = plus[6] = INV_SQRT2
@@ -224,7 +233,7 @@ def _run_prop1_demo(p: dict) -> dict:
     c0, c1 = p["c0"], p["c1"]
     psi = schmidt_state((c0, c1), (2, 2))
     a, b = prop1_pair(HilbertSpace((2, 2)), 0, 1)
-    report = srpt_evaluate(density_from_pure(psi), a, b)
+    report = srpt_evaluate(psi, a, b)
     norm_sq = c0 * c0 + c1 * c1
     expected_rhs = (c0 * c1 / norm_sq) ** 2
     checks = [
@@ -238,12 +247,12 @@ def _run_prop1_demo(p: dict) -> dict:
 
 def _run_bad_observable_demo(p: dict) -> dict:
     space = HilbertSpace((2, 2))
-    zero = density_from_pure(schmidt_state((1.0, 0.0), (2, 2)))
+    zero = schmidt_state((1.0, 0.0), (2, 2))
     a = Observable(space, np.kron(PAULI_X, PAULI_X))
     b = Observable(space, np.kron(PAULI_X, PAULI_Y) + np.kron(PAULI_Y, PAULI_X))
     witness = CompiledWitness(a, b, 0)
     adm_a, adm_b = witness.admissibility()
-    report = witness.report(zero.matrix)
+    report = witness.report(zero)
     checks = [
         _check("violated_despite_separable", report.violated, True,
                "theory: the inequality is violated with unsuitable observables"),
@@ -320,6 +329,10 @@ CASES: dict[str, ReproCase] = {
 }
 
 
+# parameters that must be positive as well as finite
+_POSITIVE_PARAMS = ("tol",)
+
+
 def _coerce_params(case: ReproCase, overrides: list[str]) -> dict:
     params = dict(case.defaults)
     for item in overrides:
@@ -329,7 +342,12 @@ def _coerce_params(case: ReproCase, overrides: list[str]) -> dict:
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for case {case.id!r} "
                              f"(known: {sorted(params)})")
-        params[key] = int(raw) if isinstance(params[key], int) else float(raw)
+        value = int(raw) if isinstance(params[key], int) else float(raw)
+        positive = key in _POSITIVE_PARAMS
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise ValueError(f"{key} must be a finite {'positive ' if positive else ''}number, "
+                             f"got {raw!r}")
+        params[key] = value
     return params
 
 
@@ -408,8 +426,7 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
                 sys.stderr.write(f"observable {label} inadmissible: residual {adm.residual}\n")
         return 3
     try:
-        require_same_space(rho, a)  # B shares A's space, which the witness checked
-        report = witness.report(rho.matrix)
+        report = witness.report(rho)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -23,6 +23,7 @@ from .hilbert import (
     IMAG_TOL,
     DensityMatrix,
     Observable,
+    StateVector,
     clamp_variance,
     min_eigenvalue,
     moments,
@@ -121,6 +122,16 @@ def _residual(m: Observable, mg_sq: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(mg_sq - m_sq_g))
 
 
+def _state_matrix(state: StateVector | DensityMatrix) -> np.ndarray:
+    """The density matrix of state as a raw array.  For a StateVector this is the
+    projector |psi><psi|, formed in O(d^2) without DensityMatrix's O(d^3)
+    validation: it is Hermitian, of trace |psi|^2 and positive semidefinite by
+    construction."""
+    if isinstance(state, StateVector):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
+
+
 def _admissibility(residual: float) -> AdmissibilityReport:
     return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
 
@@ -168,16 +179,20 @@ class CompiledWitness:
             if not adm.admissible:
                 raise AdmissibilityError(label, adm.residual)
 
-    def report(self, rho_matrix: np.ndarray) -> UncertaintyReport:
-        """The report of the density matrix rho_matrix, on the pair's space."""
-        return _build_report([trace_product(rho_matrix, op) for op in self.operators])
+    def report(self, state: StateVector | DensityMatrix) -> UncertaintyReport:
+        """The report of a pure or mixed state; raises ValueError unless it lives
+        on the pair's space.  Admissibility is not checked here."""
+        require_same_space(state, self.a)
+        rho = _state_matrix(state)
+        return _build_report([trace_product(rho, op) for op in self.operators])
 
 
-def sr_uncertainty(rho: DensityMatrix, a: Observable, b: Observable) -> UncertaintyReport:
+def sr_uncertainty(
+    state: StateVector | DensityMatrix, a: Observable, b: Observable
+) -> UncertaintyReport:
     """Schrodinger-Robertson relation; slack is never positive for valid states."""
-    require_same_space(rho, a)
-    require_same_space(rho, b)
-    return CompiledWitness(a, b, None).report(rho.matrix)
+    require_same_space(state, a)  # before the compile; the witness checks B against A
+    return CompiledWitness(a, b, None).report(state)
 
 
 def is_admissible(m: Observable, k: int = 0) -> AdmissibilityReport:
@@ -187,7 +202,7 @@ def is_admissible(m: Observable, k: int = 0) -> AdmissibilityReport:
 
 
 def srpt_evaluate(
-    rho: DensityMatrix,
+    state: StateVector | DensityMatrix,
     a: Observable,
     b: Observable,
     k: int = 0,
@@ -195,8 +210,10 @@ def srpt_evaluate(
 ) -> UncertaintyReport:
     """Schrodinger-Robertson inequality with every operator partially transposed.
 
-    A violation (slack > VIOLATION_TOL) certifies entanglement of rho across
-    the (k | rest) cut, provided both observables are admissible at k, i.e.
+    state is a DensityMatrix or a StateVector; a pure state is evaluated on its
+    projector |psi><psi| and never validated as a DensityMatrix.  A violation
+    (slack > VIOLATION_TOL) certifies entanglement of the state across the
+    (k | rest) cut, provided both observables are admissible at k, i.e.
     their residual ||(M^G)^2 - (M^2)^G|| is at most ADMISSIBILITY_TOL.  The
     pair is compiled once into a CompiledWitness; a checked evaluation raises
     through its check_admissibility, as the threshold scans do, and `srpt
@@ -209,38 +226,41 @@ def srpt_evaluate(
     observables; with check_admissibility=False a "violation" on a separable
     state is possible and meaningless.
     """
-    require_same_space(rho, a)
-    require_same_space(rho, b)
+    require_same_space(state, a)  # before the compile; the witness checks B against A
     witness = CompiledWitness(a, b, k)
     if check_admissibility:
         witness.check_admissibility()
-    return witness.report(rho.matrix)
+    return witness.report(state)
 
 
-def ppt_min_eigenvalue(rho: DensityMatrix, k: int = 0) -> float:
-    """Smallest eigenvalue of the partial transpose; < -PSD_TOL certifies entanglement."""
-    return min_eigenvalue(partial_transpose_matrix(rho.matrix, rho.space.dims, k))
+def ppt_min_eigenvalue(state: StateVector | DensityMatrix, k: int = 0) -> float:
+    """Smallest eigenvalue of the partial transpose of a DensityMatrix, or of the
+    projector of a StateVector; < -PSD_TOL certifies entanglement."""
+    return min_eigenvalue(partial_transpose_matrix(_state_matrix(state), state.space.dims, k))
 
 
-def duan_criterion(rho: DensityMatrix, a_params: Sequence[float]) -> list[DuanReport]:
+def duan_criterion(
+    state: StateVector | DensityMatrix, a_params: Sequence[float]
+) -> list[DuanReport]:
     """Two-mode EPR-operator variance criterion, one report per value in a_params.
 
     With x = (a^dag + a)/sqrt(2), p = i(a^dag - a)/sqrt(2), the combinations
     u = |a| x1 + x2/a and v = |a| p1 - p2/a satisfy
     <(Du)^2> + <(Dv)^2> >= a^2 + 1/a^2 for every separable two-mode state.
     a may be negative, which flips the sign of the mode-2 quadratures.  The
-    quadrature moments do not depend on a and are computed once.
+    quadrature moments do not depend on a and are computed once.  state is a
+    DensityMatrix or a StateVector, whose projector is used unvalidated.
     """
-    if len(rho.space.dims) != 2:
-        raise ValueError(f"Duan criterion needs exactly two modes, got dims {rho.space.dims}")
+    if len(state.space.dims) != 2:
+        raise ValueError(f"Duan criterion needs exactly two modes, got dims {state.space.dims}")
     a_values = [float(a) for a in a_params]
     if not a_values:
         raise ValueError("a_params must not be empty")
     if 0.0 in a_values:
         raise ValueError("a_param must be nonzero")
 
-    d1, d2 = rho.space.dims
-    rm = rho.matrix
+    d1, d2 = state.space.dims
+    rm = _state_matrix(state)
     x1, p1 = (q / math.sqrt(2) for q in quadratures(d1))
     x2, p2 = (q / math.sqrt(2) for q in quadratures(d2))
     blocks = rm.reshape(d1, d2, d1, d2)

@@ -84,7 +84,7 @@ class HilbertSpace:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state: unit-norm complex amplitudes over a HilbertSpace."""
+    """Pure state: complex amplitudes over a HilbertSpace with |psi|^2 = 1 within NORM_TOL."""
 
     space: HilbertSpace
     amplitudes: np.ndarray
@@ -92,9 +92,12 @@ class StateVector:
     def __post_init__(self):
         amp = _locked(np.asarray(self.amplitudes).reshape(-1), (self.space.total_dim,),
                       "amplitude vector")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
+        # summed as the diagonal of |psi><psi| is, so with NORM_TOL <= TRACE_TOL
+        # every StateVector passes the DensityMatrix trace check
+        norm_sq = complex(np.sum(amp * amp.conj()))
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(
+                f"state vector squared norm {norm_sq.real} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
 
 

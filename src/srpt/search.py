@@ -29,7 +29,6 @@ from .hilbert import (
     DensityMatrix,
     Observable,
     StateVector,
-    density_from_pure,
     hermitian_eigensystem,
     require_same_space,
 )
@@ -185,7 +184,7 @@ def ppt_threshold_scan(psi: StateVector, k: int = 0, tol: float = 1e-6) -> Thres
     the bracket's upper end is then evaluated densely and must agree.
     """
     _require_state(psi)
-    mu = ppt_min_eigenvalue(density_from_pure(psi), k)
+    mu = ppt_min_eigenvalue(psi, k)
     d = psi.space.total_dim
     return _certified_scan(
         lambda x: x * mu + (1.0 - x) / d < -PSD_TOL,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from srpt import criteria, hilbert
 from srpt.cli import CASES, WITNESSES, main
 from srpt.criteria import srpt_evaluate
 from srpt.hilbert import density_from_pure, observable_to_json, state_to_json
@@ -62,6 +63,39 @@ def test_run_rejects_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: tol must be a finite positive number")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case, key", [("cat", "alpha"), ("multiphoton", "alpha"),
+                                       ("prop1-demo", "c0"), ("werner-bell", "phi")])
+def test_run_rejects_a_parameter_that_is_not_finite(case, key, value, capsys):
+    assert main(["run", case, "--param", f"{key}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} must be a finite number")
+    assert captured.out == ""
+
+
+def _counting(counts, key, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("argv, compiled, residuals", [
+    (["cat", "--param", "truncation=16"], 1, 2),
+    (["osc2d", "--param", "n=6"], 1, 2),
+    (["osc3d", "--param", "n=4"], 9, 18),
+])
+def test_pure_cases_validate_no_density_matrix_and_compile_once_per_witness(
+        argv, compiled, residuals, monkeypatch, capsys):
+    counts = {"density": 0, "compiled": 0, "residuals": 0}
+    for holder, name, key in ((hilbert.DensityMatrix, "__post_init__", "density"),
+                              (criteria.CompiledWitness, "__init__", "compiled"),
+                              (criteria, "_residual", "residuals")):
+        monkeypatch.setattr(holder, name, _counting(counts, key, getattr(holder, name)))
+    assert main(["run", *argv]) == 0
+    assert counts == {"density": 0, "compiled": compiled, "residuals": residuals}
 
 
 def test_run_bad_observable_demo(capsys):

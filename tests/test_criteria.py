@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from srpt.criteria import (
     AdmissibilityError,
+    CompiledWitness,
     duan_criterion,
     is_admissible,
     ppt_min_eigenvalue,
@@ -26,7 +27,7 @@ from srpt.hilbert import (
     partial_transpose_matrix,
 )
 from srpt.states import random_pure, random_separable, schmidt_state, werner
-from srpt.witnesses import Prop2Params, prop1_pair, prop2_observable
+from srpt.witnesses import Prop2Params, prop1_pair, prop2_observable, prop3_triple
 
 from helpers import basis_state, kron_observable
 
@@ -229,6 +230,40 @@ def test_srpt_verdict_invariant_under_subsystem_relabelling(seed, dims, pure):
     assert abs(rep_s.slack - rep.slack) <= tol
     for m, m_s in ((a, a_s), (b, b_s)):
         assert abs(is_admissible(m_s, 1).residual - is_admissible(m, 0).residual) <= tol
+
+
+PURE_SETTINGS = [
+    ((3, 3), lambda space: prop1_pair(space, 0, 1), 0),
+    ((3, 3), lambda space: prop1_pair(space, 0, 2), 1),
+    ((2, 3), lambda space: prop1_pair(space, 0, 1), 0),
+    ((2, 3), lambda space: prop1_pair(space, 0, 1), 1),
+    ((2, 2, 2), lambda space: prop3_triple(1), 0),
+    ((2, 2, 2), lambda space: prop3_triple(2), 0),
+    ((2, 2, 2), lambda space: prop3_triple(3), 0),
+]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10**6), st.sampled_from(PURE_SETTINGS))
+def test_pure_state_path_matches_the_density_path(seed, setting):
+    dims, pair, k = setting
+    psi = random_pure(dims, seed)
+    rho = density_from_pure(psi)
+    a, b = pair(psi.space)
+    assert srpt_evaluate(psi, a, b, k) == srpt_evaluate(rho, a, b, k)
+    assert sr_uncertainty(psi, a, b) == sr_uncertainty(rho, a, b)
+    assert ppt_min_eigenvalue(psi, k) == ppt_min_eigenvalue(rho, k)
+    if len(dims) == 2:
+        grid = [0.5, -1.3, 2.0]
+        assert duan_criterion(psi, grid) == duan_criterion(rho, grid)
+
+
+def test_report_rejects_a_state_on_another_space():
+    witness = CompiledWitness(*prop1_pair(Q2, 0, 1), 0)
+    psi = random_pure((3, 3), 5)
+    for state in (psi, density_from_pure(psi)):
+        with pytest.raises(ValueError, match=r"space mismatch: \(3, 3\) vs \(2, 2\)"):
+            witness.report(state)
 
 
 def test_out_of_range_subsystem_is_rejected():

@@ -25,7 +25,7 @@ from srpt.hilbert import (
     state_to_json,
     trace_product,
 )
-from srpt.states import schmidt_state, werner
+from srpt.states import random_pure, schmidt_state, werner
 
 from helpers import basis_state, kron_observable
 
@@ -72,6 +72,24 @@ def test_state_vector_requires_unit_norm():
     sv = StateVector(Q2, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0  # locked
+
+
+def test_state_vector_bounds_the_squared_norm():
+    # norm 1 + 9e-13 is within NORM_TOL of 1, but its square, the trace of
+    # |psi><psi|, is not
+    with pytest.raises(ValueError, match="squared norm"):
+        StateVector(Q2, np.array([1.0 + 9e-13, 0.0, 0.0, 0.0]))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(2,), (2, 2), (3, 5), (2, 2, 2)]),
+       st.floats(-2.5e-12, 2.5e-12))
+def test_density_from_pure_accepts_every_state_vector(seed, dims, delta):
+    amp = random_pure(dims, seed).amplitudes * np.sqrt(1.0 + delta)
+    try:
+        psi = StateVector(HilbertSpace(dims), amp)
+    except ValueError:
+        return
+    assert density_from_pure(psi).space == psi.space
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
