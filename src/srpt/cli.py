@@ -102,8 +102,11 @@ def _threshold_case(psi, a, b, tol, srpt_expected, srpt_note, ppt_expected, ppt_
 
 def _run_werner_bell(p: dict) -> dict:
     bell = schmidt_state((1.0, 1.0), (2, 2))
+    srpt_expected = 2.0 / (1.0 + math.sqrt(1.0 + 8.0 * math.cos(p["phi"]) ** 2))
+    srpt_note = ("theory: detected when x > 1/2" if srpt_expected == 0.5
+                 else "theory: detected when x > 2/(1+sqrt(1+8cos^2 phi))")
     return _threshold_case(bell, *werner_bipartite_pair(p["phi"]), p["tol"],
-                           0.5, "theory: detected when x > 1/2",
+                           srpt_expected, srpt_note,
                            1.0 / 3.0, "theory: entangled iff x > 1/3")
 
 
@@ -402,7 +405,7 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
                 unchecked: bool, out_path: str | None) -> int:
     try:
         with open(state_path) as fh:
-            rho = density_from_json(fh.read())
+            state = density_from_json(fh.read())
         with open(a_path) as fh:
             a = observable_from_json(fh.read())
         with open(b_path) as fh:
@@ -426,7 +429,7 @@ def check_files(state_path: str, a_path: str, b_path: str, subsystem: int,
                 sys.stderr.write(f"observable {label} inadmissible: residual {adm.residual}\n")
         return 3
     try:
-        report = witness.report(rho)
+        report = witness.report(state)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -222,9 +222,11 @@ def srpt_evaluate(
     (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
     test's tolerance is hilbert.PSD_TOL.  The unchecked mode is for pairs
     already checked or admissible by construction (a scan's certification,
-    the prop2 search) and to demonstrate what goes wrong with unsuitable
-    observables; with check_admissibility=False a "violation" on a separable
-    state is possible and meaningless.
+    the prop1 search's candidates) and to demonstrate what goes wrong with
+    unsuitable observables; with check_admissibility=False a "violation" on a
+    separable state is possible and meaningless.  The prop2 search scores its
+    points without srpt_evaluate and certifies its best point by a checked
+    one.
     """
     require_same_space(state, a)  # before the compile; the witness checks B against A
     witness = CompiledWitness(a, b, k)

@@ -341,10 +341,12 @@ def observable_from_json(text: str) -> Observable:
     return Observable(*_parse_payload(json.loads(text), "matrix", 2))
 
 
-def density_from_json(text: str) -> DensityMatrix:
-    """A density matrix from a "matrix" payload, or the projector onto the pure
-    state of an "amplitudes" payload; the format is chosen by key."""
+def density_from_json(text: str) -> StateVector | DensityMatrix:
+    """The state of a JSON payload, chosen by key: a StateVector for an
+    "amplitudes" payload, whose density matrix is its projector and which is
+    never validated as a DensityMatrix, or a DensityMatrix for a "matrix"
+    payload.  Every evaluator in criteria takes either."""
     doc = json.loads(text)
     if isinstance(doc, dict) and "amplitudes" in doc:
-        return density_from_pure(StateVector(*_parse_payload(doc, "amplitudes", 1)))
+        return StateVector(*_parse_payload(doc, "amplitudes", 1))
     return DensityMatrix(*_parse_payload(doc, "matrix", 2))

@@ -30,10 +30,19 @@ from .hilbert import (
     Observable,
     StateVector,
     hermitian_eigensystem,
+    partial_transpose_matrix,
     require_same_space,
 )
 from .states import schmidt_state, werner
-from .witnesses import Prop2Params, prop1_pair, prop2_observable, werner_bipartite_pair
+from .witnesses import (
+    _PAULI_BASIS,
+    _PT_SIGNS,
+    Prop2Params,
+    _prop2_tables,
+    prop1_pair,
+    prop2_observable,
+    werner_bipartite_pair,
+)
 
 PRESCAN_POINTS = 21
 NM_MAX_ITER = 500
@@ -196,25 +205,64 @@ def ppt_threshold_scan(psi: StateVector, k: int = 0, tol: float = 1e-6) -> Thres
 # --- witness optimization ------------------------------------------------------
 
 
+def _clip_prop2(theta: np.ndarray) -> np.ndarray:
+    """Compactify the search space: theta as rows of 13 Prop2Params values,
+    each vector scaled down to norm <= 4 and eta clipped to [-4, 4]."""
+    v = np.array(theta, dtype=float).reshape(-1, 13)
+    vectors = v[:, :12].reshape(-1, 4, 3)
+    norms = np.linalg.norm(vectors, axis=2, keepdims=True)
+    v[:, :12] = (vectors * (PROP2_NORM_BOUND / np.maximum(norms, PROP2_NORM_BOUND))).reshape(-1, 12)
+    v[:, 12] = np.clip(v[:, 12], -PROP2_NORM_BOUND, PROP2_NORM_BOUND)
+    return v
+
+
 def _clipped_prop2(values: np.ndarray) -> Prop2Params:
-    """Compactify the search space: vector norms <= 4, |eta| <= 4."""
-    v = np.array(values, dtype=float).reshape(13)
-    for start in (0, 3, 6, 9):
-        norm = np.linalg.norm(v[start:start + 3])
-        if norm > PROP2_NORM_BOUND:
-            v[start:start + 3] *= PROP2_NORM_BOUND / norm
-    v[12] = np.clip(v[12], -PROP2_NORM_BOUND, PROP2_NORM_BOUND)
-    return Prop2Params.from_array(v)
+    """The Prop2Params of 13 search values, clipped as the search scores them."""
+    return Prop2Params.from_array(_clip_prop2(values)[0])
+
+
+def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyReport]:
+    """The SRPT report at subsystem 0, in rho, of the prop2 pair with the 26
+    clipped parameters theta, as a function of theta.
+
+    rho^G is taken once.  As tr(rho X^G) = tr(rho^G X), the expectations of
+    A^G, B^G, [A,B]^G and {A,B}^G are those of A, B, [A,B] and {A,B} in
+    rho^G; only (A^G)^2 and (B^G)^2 are taken in rho.  A^G is A's coefficient
+    table with its sigma_y row negated, so A, B, A^G and B^G come from one
+    product of four tables with the Pauli basis.  The report is the one
+    srpt_evaluate gives, up to rounding, without forming an Observable or a
+    CompiledWitness.
+    """
+    rho_t = rho.matrix.T.reshape(16)  # tr(rho X) = rho_t @ X.reshape(16)
+    rho_g_t = partial_transpose_matrix(rho.matrix, (2, 2), 0).T.reshape(16)
+    weights = np.array([rho_g_t, rho_g_t, rho_t, rho_t])
+    row_signs = _PT_SIGNS[:, None]
+
+    def report(theta: np.ndarray) -> UncertaintyReport:
+        tables = _prop2_tables(_clip_prop2(theta))
+        tables = np.concatenate([tables, tables * row_signs]).reshape(4, 16)
+        ops = (tables @ _PAULI_BASIS).reshape(4, 4, 4)  # A, B, A^G, B^G
+        e_a, e_b = (ops[:2].reshape(2, 16) @ rho_g_t).tolist()
+        # A B, B A, (A^G)^2 and (B^G)^2
+        products = (ops @ ops[[1, 0, 2, 3]]).reshape(4, 16)
+        e_ab, e_ba, e_a_sq, e_b_sq = np.einsum("ij,ij->i", products, weights).tolist()
+        return _build_report((e_a, e_a_sq, e_b, e_b_sq, e_ab - e_ba, e_ab + e_ba))
+
+    return report
 
 
 def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
+    """Nelder-Mead restarts on the compiled report; the best point is then
+    evaluated by a checked srpt_evaluate of its prop2_observable pair, which
+    must give the same verdict."""
     if rho.space.dims != (2, 2):
         raise ValueError(f"the prop2 family needs a (2, 2) space, got {rho.space.dims}")
+    if restarts < 1:
+        raise ValueError(f"the prop2 search needs restarts >= 1, got {restarts!r}")
+    compiled = _compile_prop2(rho)
 
     def negative_slack(theta: np.ndarray) -> float:
-        a = prop2_observable(_clipped_prop2(theta[:13]))
-        b = prop2_observable(_clipped_prop2(theta[13:]))
-        return -srpt_evaluate(rho, a, b, 0, check_admissibility=False).slack
+        return -compiled(theta).slack
 
     rng = np.random.default_rng(seed)
     best_value = math.inf
@@ -233,7 +281,10 @@ def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
 
     a = prop2_observable(_clipped_prop2(best_theta[:13]))
     b = prop2_observable(_clipped_prop2(best_theta[13:]))
-    return SearchResult(np.array(best_theta), srpt_evaluate(rho, a, b, 0), restarts)
+    report = srpt_evaluate(rho, a, b, 0)
+    if report.violated != compiled(best_theta).violated:
+        raise ArithmeticError("compiled and checked prop2 verdicts differ at the best point")
+    return SearchResult(np.array(best_theta), report, restarts)
 
 
 def _pure_vector(rho: DensityMatrix) -> StateVector:

@@ -29,8 +29,18 @@ from .hilbert import (
     quadratures,
 )
 
-_PAULI_VECTOR = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
 MINOR_TOL = 1e-10
+
+# Row 4 mu + nu holds the entries of sigma_mu x sigma_nu (sigma_0 = 1), so a
+# real 4x4 Pauli-coefficient table t is the two-qubit operator
+# (t.reshape(16) @ _PAULI_BASIS).reshape(4, 4).
+_PAULI_BASIS = np.array([np.kron(s, t).reshape(16) for s in _PAULIS for t in _PAULIS])
+_PAULI_BASIS.setflags(write=False)
+# sigma_mu^T = _PT_SIGNS[mu] sigma_mu, so the partial transpose at subsystem 0
+# multiplies row mu of a coefficient table by _PT_SIGNS[mu].
+_PT_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
+_PT_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -112,16 +122,22 @@ def prop1_pair(space: HilbertSpace, i0: int, i1: int) -> tuple[Observable, Obser
     return projector_flip_pair(space, [(i0, i1)], _double_flip(i0, i1))
 
 
+def _prop2_tables(values: np.ndarray) -> np.ndarray:
+    """The Pauli-coefficient tables, shape (n, 4, 4), of the prop2 observables
+    whose Prop2Params arrays are the rows of values, shape (n, 13): eta at
+    [0, 0], c in row 0, d in column 0 and the rank-1 block a b^T."""
+    tables = np.empty((len(values), 4, 4))
+    tables[:, 0, 0] = values[:, 12]
+    tables[:, 0, 1:] = values[:, 6:9]
+    tables[:, 1:, 0] = values[:, 9:12]
+    tables[:, 1:, 1:] = values[:, 0:3, None] * values[:, None, 3:6]
+    return tables
+
+
 def prop2_observable(p: Prop2Params) -> Observable:
     """Construct the general admissible two-qubit observable from its coefficients."""
-    first = sum(p.d[i] * _PAULI_VECTOR[i] for i in range(3)) + p.eta * ID2
-    second = sum(p.c[i] * _PAULI_VECTOR[i] for i in range(3))
-    corr = np.kron(
-        sum(p.a[i] * _PAULI_VECTOR[i] for i in range(3)),
-        sum(p.b[i] * _PAULI_VECTOR[i] for i in range(3)),
-    )
-    mat = corr + np.kron(ID2, second) + np.kron(first, ID2)
-    return Observable(HilbertSpace((2, 2)), mat)
+    table = _prop2_tables(p.as_array()[None])[0]
+    return Observable(HilbertSpace((2, 2)), (table.reshape(16) @ _PAULI_BASIS).reshape(4, 4))
 
 
 def prop2_check(m: Observable) -> Prop2Params:
@@ -135,12 +151,8 @@ def prop2_check(m: Observable) -> Prop2Params:
     """
     if m.space.dims != (2, 2):
         raise ValueError(f"need a two-qubit observable, got dims {m.space.dims}")
-    paulis = (ID2,) + _PAULI_VECTOR
-    coeff = np.empty((4, 4), dtype=float)
-    for mu in range(4):
-        for nu in range(4):
-            z = np.trace(m.matrix @ np.kron(paulis[mu], paulis[nu])) / 4.0
-            coeff[mu, nu] = z.real
+    # tr(M S) = sum_ij M_ij conj(S_ij) for Hermitian S
+    coeff = (_PAULI_BASIS.conj() @ m.matrix.reshape(16)).real.reshape(4, 4) / 4.0
     block = coeff[1:, 1:]
 
     max_minor = 0.0

@@ -38,6 +38,14 @@ def test_run_werner_bell_passes(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("phi, expected", [(0.7, 0.5911480), (1.2, 0.8223919)])
+def test_run_werner_bell_threshold_follows_phi(phi, expected, capsys):
+    assert main(["run", "werner-bell", "--param", f"phi={phi}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["results"]["srpt_scan"]["x_critical"] - expected) <= 1e-6
+    assert abs(doc["checks"][0]["expected"] - expected) <= 1e-6
+
+
 def test_run_unknown_case_exits_1(capsys):
     assert main(["run", "unknown-case"]) == 1
     assert "list-cases" in capsys.readouterr().err
@@ -245,6 +253,23 @@ def test_check_picks_the_state_format_by_key(io_files, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["report"]["violated"] is True
+
+
+def test_check_evaluates_an_amplitudes_file_without_a_density_matrix(
+        tmp_path, monkeypatch, capsys):
+    psi = random_pure((3, 3), 8)
+    a, b = prop1_pair(psi.space, 0, 1)
+    want = srpt_evaluate(density_from_pure(psi), a, b).to_dict()
+    paths = [tmp_path / name for name in ("state.json", "a.json", "b.json")]
+    for path, text in zip(paths, (state_to_json(psi), observable_to_json(a),
+                                  observable_to_json(b))):
+        path.write_text(text)
+    counts = {"density": 0}
+    monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__",
+                        _counting(counts, "density", hilbert.DensityMatrix.__post_init__))
+    assert main(["check", *map(str, paths)]) == 0
+    assert counts["density"] == 0
+    assert json.loads(capsys.readouterr().out)["report"] == want
 
 
 def test_check_out_of_range_subsystem_exits_1(io_files, capsys):

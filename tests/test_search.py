@@ -15,8 +15,13 @@ from srpt.search import (
     threshold_scan,
     werner_phi_threshold,
 )
-from srpt.states import ghz, schmidt_state, werner
-from srpt.witnesses import prop1_pair, werner_bipartite_pair, werner_multipartite_pair
+from srpt.states import ghz, random_pure, random_separable, schmidt_state, werner
+from srpt.witnesses import (
+    prop1_pair,
+    prop2_observable,
+    werner_bipartite_pair,
+    werner_multipartite_pair,
+)
 
 from helpers import basis_state
 
@@ -252,6 +257,69 @@ def test_maximize_prop2_best_candidate_is_admissible():
     b = prop2_observable(_clipped_prop2(result.best_params[13:]))
     assert is_admissible(a).admissible
     assert is_admissible(b).admissible
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_maximize_prop2_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        maximize_violation(density_from_pure(BELL), "prop2", restarts=restarts, seed=5)
+
+
+def _two_qubit_state(kind, seed):
+    if kind == "pure":
+        return density_from_pure(random_pure((2, 2), seed))
+    if kind == "werner":
+        return werner(random_pure((2, 2), seed), (seed % 97) / 96)
+    return random_separable((2, 2), 1 + seed % 4, seed)
+
+
+@given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
+       st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
+def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
+    # entries up to 6 give vector norms up to 10.4 and |eta| up to 6, so clipping is covered
+    rho = _two_qubit_state(kind, seed)
+    theta = np.array(theta)
+    got = search._compile_prop2(rho)(theta)
+    a = prop2_observable(search._clipped_prop2(theta[:13]))
+    b = prop2_observable(search._clipped_prop2(theta[13:]))
+    want = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
+    assert abs(got.slack - want.slack) <= 1e-12 * max(want.lhs, want.rhs)
+
+
+def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeypatch):
+    """The Nelder-Mead points are scored by the compiled report; the only
+    CompiledWitness is the checked evaluation of the best point."""
+    compile_pair, run_minimize = criteria.CompiledWitness.__init__, search.minimize
+    counts = {"compiled": 0}
+    evaluations = []
+
+    def counting_compile(self, *args):
+        counts["compiled"] += 1
+        compile_pair(self, *args)
+
+    def recording_minimize(*args, **kwargs):
+        res = run_minimize(*args, **kwargs)
+        evaluations.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
+    monkeypatch.setattr(search, "minimize", recording_minimize)
+    rho = werner(BELL, 0.9)
+    for max_iter in (10, 500):
+        monkeypatch.setattr(search, "NM_MAX_ITER", max_iter)
+        counts["compiled"] = 0
+        maximize_violation(rho, "prop2", restarts=1, seed=5)
+        assert counts["compiled"] == 1
+    assert evaluations[0] < evaluations[1]
+
+
+def test_prop2_search_raises_when_the_checked_verdict_disagrees(monkeypatch):
+    # the checked evaluation now sees the maximally mixed state, which no pair detects
+    evaluate = search.srpt_evaluate
+    monkeypatch.setattr(search, "srpt_evaluate",
+                        lambda rho, *args: evaluate(werner(BELL, 0.0), *args))
+    with pytest.raises(ArithmeticError):
+        maximize_violation(density_from_pure(BELL), "prop2", restarts=2, seed=5)
 
 
 # --- Werner formula audit --------------------------------------------------------------

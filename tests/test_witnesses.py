@@ -6,9 +6,11 @@ from srpt.hilbert import (
     ID2,
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     HilbertSpace,
     Observable,
     density_from_pure,
+    partial_transpose_matrix,
 )
 from srpt.states import (
     acin_state,
@@ -18,6 +20,8 @@ from srpt.states import (
     schmidt_state,
 )
 from srpt.witnesses import (
+    _PAULI_BASIS,
+    _PT_SIGNS,
     NotRepresentable,
     Prop2Params,
     cat_quadratures,
@@ -139,6 +143,26 @@ def test_prop2_simple_constructions():
     z = np.diag([1.0, -1.0])
     assert np.allclose(prop2_observable(p).matrix,
                        np.kron(np.eye(2), z) + np.kron(z, np.eye(2)))
+
+
+def test_pauli_basis_rows_and_their_partial_transpose_signs():
+    paulis = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+    for mu in range(4):
+        for nu in range(4):
+            product = np.kron(paulis[mu], paulis[nu])
+            assert np.array_equal(_PAULI_BASIS[4 * mu + nu].reshape(4, 4), product)
+            assert np.array_equal(partial_transpose_matrix(product, (2, 2), 0),
+                                  _PT_SIGNS[mu] * product)
+
+
+def test_prop2_observable_matches_its_defining_sum():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        p = rand_params(rng)
+        a, b, c, d = (sum(v[i] * s for i, s in enumerate((PAULI_X, PAULI_Y, PAULI_Z)))
+                      for v in (p.a, p.b, p.c, p.d))
+        want = np.kron(a, b) + np.kron(ID2, c) + np.kron(d + p.eta * ID2, ID2)
+        assert np.max(np.abs(prop2_observable(p).matrix - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_prop2_family_admissible():
