@@ -17,7 +17,6 @@ comes from.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -498,8 +497,7 @@ def emit_witness(descriptor: str, dims_text: str | None, out_path: str | None) -
         text = observable_to_json(observables[0]) + "\n"
     else:
         a, b = observables
-        text = dumps_canonical({"A": json.loads(observable_to_json(a)),
-                                "B": json.loads(observable_to_json(b))}) + "\n"
+        text = f'{{"A":{observable_to_json(a)},"B":{observable_to_json(b)}}}\n'
     _emit(text, out_path)
     return 0
 

@@ -267,7 +267,10 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 #
 # States:      {"dims": [2, 2], "amplitudes": [[re, im], ...]}
 # Operators:   {"dims": [2, 2], "matrix": [[[re, im], ...], ...]}  (row-major)
-# Floats are emitted with 17 significant digits so round-trips are lossless.
+# Floats are emitted with 17 significant digits so round-trips are lossless;
+# complex arrays are written by _complex_json, one % format per row, with
+# -0.0 written as 0.  Reports go through dumps_canonical.  Parsing rejects
+# entries that are not numbers (strings, null) and integers beyond float range.
 
 
 def format_float(x: float) -> str:
@@ -297,20 +300,29 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values]
+def _complex_json(values: np.ndarray) -> str:
+    """A complex vector as [[re,im],...], or a matrix as a list of such rows,
+    with the same digits as format_float.  Adding 0.0 turns -0.0 into 0.0."""
+    arr = np.asarray(values)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot serialize non-finite float")
+    pairs = np.stack([arr.real, arr.imag], axis=-1) + 0.0
+    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
+    if arr.ndim == 1:
+        return row % tuple(pairs.ravel().tolist())
+    return "[" + ",".join(row % tuple(r) for r in pairs.reshape(len(arr), -1).tolist()) + "]"
+
+
+def _dims_json(space: HilbertSpace) -> str:
+    return "[" + ",".join(map(str, space.dims)) + "]"
 
 
 def state_to_json(state: StateVector) -> str:
-    return dumps_canonical(
-        {"dims": list(state.space.dims), "amplitudes": _complex_pairs(state.amplitudes)}
-    )
+    return f'{{"dims":{_dims_json(state.space)},"amplitudes":{_complex_json(state.amplitudes)}}}'
 
 
 def observable_to_json(obs: Observable) -> str:
-    return dumps_canonical(
-        {"dims": list(obs.space.dims), "matrix": [_complex_pairs(row) for row in obs.matrix]}
-    )
+    return f'{{"dims":{_dims_json(obs.space)},"matrix":{_complex_json(obs.matrix)}}}'
 
 
 def _parse_payload(doc, key: str, ndim: int):
@@ -323,10 +335,18 @@ def _parse_payload(doc, key: str, ndim: int):
 
 def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
     """A vector (ndim=1) or matrix (ndim=2) of [re, im] pairs as complex."""
+    raw = np.asarray(pairs)
+    # numpy would parse strings as numbers.  An object array comes only from
+    # null, non-numbers or integers beyond 64 bits, so files of plain numbers
+    # never take this walk.
+    numbers = raw.dtype.kind in "biuf" or (
+        raw.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in raw.flat))
+    if not numbers:
+        raise ValueError("complex entries must be numbers")
     try:
-        arr = np.asarray(pairs, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"complex entries must be [re, im] pairs: {exc}") from exc
+        arr = raw.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"complex entries must be within float range: {exc}") from exc
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
     with np.errstate(invalid="ignore"):  # 1j * inf; the constructors reject non-finite entries

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from srpt.cli import CASES, WITNESSES, main
 from srpt.criteria import srpt_evaluate
 from srpt.hilbert import density_from_pure, observable_to_json, state_to_json
 from srpt.states import random_pure, schmidt_state
-from srpt.witnesses import prop1_pair
+from srpt.witnesses import prop1_pair, werner_bipartite_pair
 from srpt.hilbert import HilbertSpace, Observable, PAULI_X, PAULI_Y
 
 KNOWN_CASES = {
@@ -232,6 +233,27 @@ def test_check_rejects_non_finite_state(io_files, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("which,text", [
+    (0, f'{{"dims": [2, 2], "amplitudes": [[{HUGE}, 0], [0, 0], [0, 0], [0, 0]]}}'),
+    (0, '{"dims": [2, 2], "amplitudes": [["1", "0"], [0, 0], [0, 0], [0, 0]]}'),
+    (1, '{"dims": [2, 2], "matrix": [[[0, 0], [0, 0], [0, 0], [%s, 0]], '
+        '[[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]], '
+        '[[1, 0], [0, 0], [0, 0], [0, 0]]]}' % HUGE),
+    (2, '{"dims": [2, 2], "matrix": [[[0, 0], [0, 0], [0, 0], [null, 0]], '
+        '[[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]], '
+        '[[1, 0], [0, 0], [0, 0], [0, 0]]]}'),
+], ids=["state-huge", "state-strings", "a-huge", "b-null"])
+def test_check_rejects_entries_that_are_not_floats(io_files, capsys, which, text):
+    paths = list(io_files[:3])
+    paths[which] = io_files[3] / "bad.json"
+    paths[which].write_text(text)
+    assert main(["check", *map(str, paths)]) == 1
+    assert capsys.readouterr().err.startswith("error: complex entries")
+
+
 def test_check_dimension_mismatch_exits_1(io_files, capsys):
     state_path, a_path, _, tmp_path = io_files
     small = Observable(HilbertSpace((2,)), PAULI_X)
@@ -299,6 +321,15 @@ def test_witness_prop1_pair(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["A"]["dims"] == [2, 2]
     assert doc["B"]["matrix"][0][3] == [1.0, 0.0]  # sigma_x x sigma_x corner
+
+
+def test_witness_pair_is_its_two_observables_without_negative_zeros(capsys):
+    a, b = werner_bipartite_pair(0.7)
+    assert np.signbit(a.matrix.real[a.matrix.real == 0]).any()  # the writer must drop these
+    assert main(["witness", "werner-bipartite:0.7"]) == 0
+    out = capsys.readouterr().out
+    assert out == '{"A":' + observable_to_json(a) + ',"B":' + observable_to_json(b) + "}\n"
+    assert re.search(r"[\[,]-0[,\]]", out) is None
 
 
 def test_witness_multiphoton_round_trips_into_check(tmp_path, capsys):

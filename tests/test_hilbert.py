@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srpt import hilbert
 from srpt.criteria import CompiledWitness, sr_uncertainty
 from srpt.hilbert import (
     PAULI_X,
@@ -13,7 +14,9 @@ from srpt.hilbert import (
     StateVector,
     annihilation,
     basis_index,
+    density_from_json,
     density_from_pure,
+    dumps_canonical,
     hermitian_eigensystem,
     min_eigenvalue,
     mix,
@@ -360,3 +363,98 @@ def test_json_parse_errors():
         state_from_json('{"dims": [2, 2]}')
     with pytest.raises(ValueError):
         observable_from_json('{"matrix": []}')
+
+
+# Finite floats the writer must spell exactly: signed zeros, subnormals, the
+# extremes of the float range, and integer-valued floats.
+JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+                     1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 1e16, 1e17]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _reference_pairs(values) -> list:
+    """[re, im] pairs as Python floats, -0.0 written as 0, for dumps_canonical."""
+    def part(x):
+        return 0.0 if x == 0 else float(x)
+    return [[part(z.real), part(z.imag)] for z in values]
+
+
+@st.composite
+def complex_arrays(draw):
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(d,), (1, d), (d, 1), (d, d)]))
+    size = int(np.prod(shape))
+    parts = draw(st.lists(JSON_FLOATS, min_size=2 * size, max_size=2 * size))
+    return (np.array(parts[:size]) + 1j * np.array(parts[size:])).reshape(shape)
+
+
+@settings(max_examples=200)
+@given(complex_arrays())
+def test_complex_json_matches_dumps_canonical(values):
+    want = (_reference_pairs(values) if values.ndim == 1
+            else [_reference_pairs(row) for row in values])
+    assert hilbert._complex_json(values) == dumps_canonical(want)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([(2,), (3,), (2, 2)]), st.data())
+def test_observable_and_state_json_match_dumps_canonical(dims, data):
+    space = HilbertSpace(dims)
+    d = space.total_dim
+    upper = np.array(data.draw(st.lists(JSON_FLOATS, min_size=2 * d * d, max_size=2 * d * d)))
+    m = (upper[:d * d] + 1j * upper[d * d:]).reshape(d, d)
+    m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    obs = Observable(space, m)
+    assert observable_to_json(obs) == dumps_canonical(
+        {"dims": list(dims), "matrix": [_reference_pairs(row) for row in obs.matrix]})
+    # one unit entry and tiny others, so the vector stays normalised
+    tiny = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 2e-200]),
+                              min_size=2 * d, max_size=2 * d))
+    amp = np.array(tiny[:d]) + 1j * np.array(tiny[d:])
+    amp[data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+    psi = StateVector(space, amp)
+    assert state_to_json(psi) == dumps_canonical(
+        {"dims": list(dims), "amplitudes": _reference_pairs(psi.amplitudes)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf, complex(0, np.nan)])
+def test_complex_json_rejects_non_finite_entries(bad):
+    values = np.eye(2, dtype=complex)
+    values[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hilbert._complex_json(values)
+    with pytest.raises(ValueError, match="non-finite"):
+        hilbert._complex_json(values[0])
+
+
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("text", [
+    f'{{"dims": [2], "amplitudes": [[{HUGE}, 0], [0, 0]]}}',
+    f'{{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, -{HUGE}]]]}}',
+    '{"dims": [2], "amplitudes": [["1", "0"], [0, 0]]}',
+    '{"dims": [2], "amplitudes": [["1", 0], [0, 0]]}',
+    f'{{"dims": [2], "amplitudes": [["1", {2 ** 70}], [0, 0]]}}',
+    '{"dims": [2], "amplitudes": [[null, 0], [1, 0]]}',
+    '{"dims": [2], "amplitudes": [[{}, 0], [1, 0]]}',
+], ids=["huge-amplitude", "huge-matrix", "strings", "string", "string-and-big-int", "null",
+        "object"])
+def test_density_from_json_rejects_entries_that_are_not_floats(text):
+    with pytest.raises(ValueError, match="complex entries"):
+        density_from_json(text)
+
+
+@pytest.mark.parametrize("entry", [HUGE, '"1"', "null"], ids=["huge", "string", "null"])
+def test_observable_from_json_rejects_entries_that_are_not_floats(entry):
+    with pytest.raises(ValueError, match="complex entries"):
+        observable_from_json(f'{{"dims": [2], "matrix": [[[{entry}, 0], [0, 0]], '
+                             '[[0, 0], [1, 0]]]}')
+
+
+def test_observable_from_json_takes_integers_beyond_64_bits():
+    obs = observable_from_json(f'{{"dims": [2], "matrix": [[[{2 ** 70}, 0], [0, 0]], '
+                               '[[0, 0], [1, 0]]]}')
+    assert obs.matrix[0, 0] == 2.0 ** 70
