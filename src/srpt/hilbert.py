@@ -270,7 +270,8 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # Floats are emitted with 17 significant digits so round-trips are lossless;
 # complex arrays are written by _complex_json, one % format per row, with
 # -0.0 written as 0.  Reports go through dumps_canonical.  Parsing rejects
-# entries that are not numbers (strings, null) and integers beyond float range.
+# entries that are not numbers (strings, null, booleans) and integers beyond
+# float range.
 
 
 def format_float(x: float) -> str:
@@ -325,22 +326,26 @@ def observable_to_json(obs: Observable) -> str:
     return f'{{"dims":{_dims_json(obs.space)},"matrix":{_complex_json(obs.matrix)}}}'
 
 
-def _parse_payload(doc, key: str, ndim: int):
-    """The HilbertSpace of doc["dims"] and doc[key] as a complex array of ndim axes."""
+def _parse_payload(text: str, doc, key: str, ndim: int):
+    """The HilbertSpace of doc["dims"] and doc[key] as a complex array of ndim
+    axes; doc is json.loads(text)."""
     if not isinstance(doc, dict) or "dims" not in doc or key not in doc:
         raise ValueError(f'expected a JSON object with "dims" and "{key}"')
     space = HilbertSpace(doc["dims"])
-    return space, _pairs_to_complex(doc[key], ndim)
+    # numpy reads true and false as 1 and 0, even next to floats, so a text
+    # that may hold them has its entries checked one by one
+    return space, _pairs_to_complex(doc[key], ndim, "true" in text or "false" in text)
 
 
-def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
-    """A vector (ndim=1) or matrix (ndim=2) of [re, im] pairs as complex."""
-    raw = np.asarray(pairs)
+def _pairs_to_complex(pairs, ndim: int, each_entry: bool) -> np.ndarray:
+    """A vector (ndim=1) or matrix (ndim=2) of [re, im] pairs as complex.
+    With each_entry, every entry must be an int or a float, not a bool."""
+    raw = np.asarray(pairs, dtype=object if each_entry else None)
     # numpy would parse strings as numbers.  An object array comes only from
-    # null, non-numbers or integers beyond 64 bits, so files of plain numbers
-    # never take this walk.
-    numbers = raw.dtype.kind in "biuf" or (
-        raw.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in raw.flat))
+    # each_entry, null, non-numbers or integers beyond 64 bits, so files of
+    # plain numbers never take this walk.
+    numbers = raw.dtype.kind in "iuf" or (raw.dtype.kind == "O" and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw.flat))
     if not numbers:
         raise ValueError("complex entries must be numbers")
     try:
@@ -354,11 +359,11 @@ def _pairs_to_complex(pairs, ndim: int) -> np.ndarray:
 
 
 def state_from_json(text: str) -> StateVector:
-    return StateVector(*_parse_payload(json.loads(text), "amplitudes", 1))
+    return StateVector(*_parse_payload(text, json.loads(text), "amplitudes", 1))
 
 
 def observable_from_json(text: str) -> Observable:
-    return Observable(*_parse_payload(json.loads(text), "matrix", 2))
+    return Observable(*_parse_payload(text, json.loads(text), "matrix", 2))
 
 
 def density_from_json(text: str) -> StateVector | DensityMatrix:
@@ -368,5 +373,5 @@ def density_from_json(text: str) -> StateVector | DensityMatrix:
     payload.  Every evaluator in criteria takes either."""
     doc = json.loads(text)
     if isinstance(doc, dict) and "amplitudes" in doc:
-        return StateVector(*_parse_payload(doc, "amplitudes", 1))
-    return DensityMatrix(*_parse_payload(doc, "matrix", 2))
+        return StateVector(*_parse_payload(text, doc, "amplitudes", 1))
+    return DensityMatrix(*_parse_payload(text, doc, "matrix", 2))

@@ -5,7 +5,10 @@ located by bisection on a change of verdict, guarded by a coarse pre-scan
 that verifies the crossing is unique.  The verdicts come from `criteria`
 (SRPT) and from the PPT minimum eigenvalue against PSD_TOL.  Witness
 optimization is derivative-free (Nelder-Mead with uniform random restarts)
-over parameterizations that are admissible by construction.
+over parameterizations that are admissible by construction.  The Nelder-Mead
+of `_nelder_mead` is a step-for-step port of scipy's `minimize(method=
+"Nelder-Mead")` for the one configuration used, so the package does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .criteria import (
     CompiledWitness,
@@ -47,6 +49,7 @@ from .witnesses import (
 PRESCAN_POINTS = 21
 NM_MAX_ITER = 500
 NM_XATOL = 1e-8
+NM_FATOL = 1e-12
 PROP2_NORM_BOUND = 4.0
 WERNER_AGREEMENT_TOL = 1e-4
 
@@ -251,6 +254,65 @@ def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyRepo
     return report
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray) -> tuple[np.ndarray, float]:
+    """(best vertex, least value) of the Nelder-Mead simplex search for a
+    minimum of f from x0 (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    A step-for-step port of scipy's `_minimize_neldermead` without bounds or
+    adaptive coefficients, with maxiter=NM_MAX_ITER, xatol=NM_XATOL,
+    fatol=NM_FATOL and no limit on evaluations: it makes the same calls of f
+    and returns the same bits as scipy's x and fun.  f must not modify its
+    argument.
+    """
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    steps = np.arange(n)
+    sim[steps + 1, steps] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # scipy sorts twice; the second argsort may reorder the ties of the first
+    sim, fsim = by_value(*by_value(sim, np.array([f(x) for x in sim], dtype=float)))
+    iterations = 1
+    while iterations < NM_MAX_ITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflect
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
     """Nelder-Mead restarts on the compiled report; the best point is then
     evaluated by a checked srpt_evaluate of its prop2_observable pair, which
@@ -269,15 +331,10 @@ def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
     best_theta = None
     for _ in range(restarts):
         theta0 = rng.uniform(-2.0, 2.0, size=26)
-        res = minimize(
-            negative_slack,
-            theta0,
-            method="Nelder-Mead",
-            options={"maxiter": NM_MAX_ITER, "xatol": NM_XATOL, "fatol": 1e-12},
-        )
-        if res.fun < best_value:
-            best_value = res.fun
-            best_theta = res.x
+        theta, value = _nelder_mead(negative_slack, theta0)
+        if value < best_value:
+            best_value = value
+            best_theta = theta
 
     a = prop2_observable(_clipped_prop2(best_theta[:13]))
     b = prop2_observable(_clipped_prop2(best_theta[13:]))

@@ -254,6 +254,24 @@ def test_check_rejects_entries_that_are_not_floats(io_files, capsys, which, text
     assert capsys.readouterr().err.startswith("error: complex entries")
 
 
+@pytest.mark.parametrize("which,text", [
+    (0, '{"dims": [2, 2], "amplitudes": [[true, false], [false, false], [false, false], '
+        '[false, false]]}'),
+    (1, '{"dims": [2, 2], "matrix": [[[0, 0], [0, 0], [0, 0], [true, 0]], '
+        '[[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]], '
+        '[[1, 0], [0, 0], [0, 0], [0, 0]]]}'),
+    (2, '{"dims": [2, 2], "matrix": [[[0, 0], [0, 0], [0, 0], [1, %d]], '
+        '[[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]], '
+        '[[false, 0], [0, 0], [0, 0], [0, 0]]]}' % 2 ** 70),
+], ids=["state-all-booleans", "a-mixed", "b-next-to-big-int"])
+def test_check_rejects_booleans(io_files, capsys, which, text):
+    paths = list(io_files[:3])
+    paths[which] = io_files[3] / "bad.json"
+    paths[which].write_text(text)
+    assert main(["check", *map(str, paths)]) == 1
+    assert capsys.readouterr().err.startswith("error: complex entries")
+
+
 def test_check_dimension_mismatch_exits_1(io_files, capsys):
     state_path, a_path, _, tmp_path = io_files
     small = Observable(HilbertSpace((2,)), PAULI_X)

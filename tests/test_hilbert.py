@@ -454,6 +454,32 @@ def test_observable_from_json_rejects_entries_that_are_not_floats(entry):
                              '[[0, 0], [1, 0]]]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"dims": [2], "amplitudes": [[true, false], [false, false]]}',
+    '{"dims": [2], "amplitudes": [[true, false], [0, 0]]}',
+    '{"dims": [2], "amplitudes": [[true, 0.5], [0, 0]]}',
+    f'{{"dims": [2], "amplitudes": [[true, {2 ** 70}], [0, 0]]}}',
+    '{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [false, 0]]]}',
+], ids=["all-booleans", "booleans-and-ints", "boolean-and-float", "boolean-and-big-int",
+        "matrix"])
+def test_density_from_json_rejects_booleans(text):
+    with pytest.raises(ValueError, match="complex entries"):
+        density_from_json(text)
+
+
+@pytest.mark.parametrize("row", ["[[true, false], [false, false]]", "[[true, 0.5], [0, 0]]",
+                                 f"[[false, {2 ** 70}], [0, 0]]"],
+                         ids=["all-booleans", "boolean-and-float", "boolean-and-big-int"])
+def test_observable_from_json_rejects_booleans(row):
+    with pytest.raises(ValueError, match="complex entries"):
+        observable_from_json(f'{{"dims": [2], "matrix": [{row}, [[0, 0], [1, 0]]]}}')
+
+
+def test_a_boolean_outside_the_entries_leaves_the_numbers_as_they_are():
+    state = density_from_json('{"dims": [2], "amplitudes": [[0.6, 0], [0, 0.8]], "pure": true}')
+    assert state.amplitudes.tolist() == [0.6, 0.8j]
+
+
 def test_observable_from_json_takes_integers_beyond_64_bits():
     obs = observable_from_json(f'{{"dims": [2], "matrix": [[[{2 ** 70}, 0], [0, 0]], '
                                '[[0, 0], [1, 0]]]}')

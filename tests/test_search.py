@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,7 +293,7 @@ def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
 def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeypatch):
     """The Nelder-Mead points are scored by the compiled report; the only
     CompiledWitness is the checked evaluation of the best point."""
-    compile_pair, run_minimize = criteria.CompiledWitness.__init__, search.minimize
+    compile_pair, compile_report = criteria.CompiledWitness.__init__, search._compile_prop2
     counts = {"compiled": 0}
     evaluations = []
 
@@ -297,13 +301,18 @@ def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeyp
         counts["compiled"] += 1
         compile_pair(self, *args)
 
-    def recording_minimize(*args, **kwargs):
-        res = run_minimize(*args, **kwargs)
-        evaluations.append(res.nfev)
-        return res
+    def counting_report(rho):
+        report = compile_report(rho)
+        evaluations.append(0)
+
+        def counted(theta):
+            evaluations[-1] += 1
+            return report(theta)
+
+        return counted
 
     monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
-    monkeypatch.setattr(search, "minimize", recording_minimize)
+    monkeypatch.setattr(search, "_compile_prop2", counting_report)
     rho = werner(BELL, 0.9)
     for max_iter in (10, 500):
         monkeypatch.setattr(search, "NM_MAX_ITER", max_iter)
@@ -311,6 +320,69 @@ def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeyp
         maximize_violation(rho, "prop2", restarts=1, seed=5)
         assert counts["compiled"] == 1
     assert evaluations[0] < evaluations[1]
+
+
+def _counted(f):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    return counted, calls
+
+
+def _prop2_objective(kind):
+    report = search._compile_prop2(_two_qubit_state(kind, 7))
+    return lambda theta: -report(theta).slack, np.random.default_rng(7).uniform(-2.0, 2.0, 26)
+
+
+def _quadratic():
+    def f(x):
+        return float((x[0] - 1) ** 2 + 2 * (x[1] + 0.5) ** 2 + 3 * (x[2] - 0.25) ** 2 + x[0] * x[1])
+
+    return f, np.array([0.0, 1.0, -2.0])
+
+
+def _plateaus():
+    # piecewise constant: ties between vertices, and contractions that fail
+    return lambda x: float(np.floor(4 * np.abs(x)).sum()), np.array([1.0, -2.0, 0.5])
+
+
+@pytest.mark.parametrize("objective,stop", [
+    (lambda: _prop2_objective("pure"), "maxiter"),
+    (lambda: _prop2_objective("werner"), "maxiter"),
+    (lambda: _prop2_objective("separable"), "maxiter"),
+    (_quadratic, "tolerance"),
+    (_plateaus, "shrink"),
+], ids=["prop2-pure", "prop2-werner", "prop2-separable", "quadratic", "plateaus"])
+def test_nelder_mead_is_scipys_step_for_step(objective, stop):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    f, x0 = objective()
+    ours, our_calls = _counted(f)
+    theirs, their_calls = _counted(f)
+    x, fun = search._nelder_mead(ours, x0)
+    res = minimize(theirs, x0, method="Nelder-Mead", options={
+        "maxiter": search.NM_MAX_ITER, "xatol": search.NM_XATOL, "fatol": search.NM_FATOL})
+    assert x.tobytes() == res.x.tobytes()
+    assert fun == res.fun
+    assert our_calls == their_calls == [res.nfev]
+    n = len(x0)
+    # without a shrink, the first simplex takes n + 1 calls and each of the nit - 1 steps 1 or 2
+    shrunk = res.nfev > n + 1 + 2 * (res.nit - 1)
+    assert (res.nit == search.NM_MAX_ITER) == (stop == "maxiter")
+    assert shrunk == (stop == "shrink")
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, srpt, srpt.cli, srpt.search; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "hasattr(srpt.search, 'minimize'))")
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["[]", "False"]
 
 
 def test_prop2_search_raises_when_the_checked_verdict_disagrees(monkeypatch):
