@@ -176,27 +176,26 @@ def _run_osc3d(p: dict) -> dict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     eigenstates = oscillator3d_eigenstates(n)
-    members = {}  # witness m -> indices of the eigenstates it evaluates
-    for i, state in enumerate(eigenstates):
-        m = state.quantum_numbers[1]
-        members.setdefault(m if (m != 0 or n >= 2) else 1, []).append(i)
+    # the designated pair depends on m only through its flip span: |m|, or 2
+    # for m = 0 (at n = 1 the m = 0 state is separable and takes span 1)
+    spans = [abs(s.quantum_numbers[1]) or min(n, 2) for s in eigenstates]
     reports = [None] * len(eigenstates)
-    for witness_m, indices in members.items():
-        witness = CompiledWitness(*oscillator3d_pair(n, witness_m), 0)
+    for span in sorted(set(spans)):
+        witness = CompiledWitness(*oscillator3d_pair(n, span), 0)
         witness.check_admissibility()
-        for i in indices:
-            reports[i] = witness.report(eigenstates[i].vector)
+        for i, state in enumerate(eigenstates):
+            if spans[i] == span:
+                reports[i] = witness.report(state.vector)
         del witness  # one compiled witness alive at a time
     records = []
     checks = []
-    for state, report in zip(eigenstates, reports):
+    for state, report, step in zip(eigenstates, reports, spans):
         l, m = state.quantum_numbers
         entangled = n > 1 or (n == 1 and m != 0)
         records.append({"l": l, "m": m, **report.to_dict()})
         checks.append(_check(f"violated[l={l},m={m}]", report.violated, entangled,
                              "theory: entangled for (0,1,+-1) or n > 1"))
         if entangled:
-            step = 2 if m == 0 else abs(m)
             expected = abs(state.coeffs[step, 0]) ** 2 * abs(state.coeffs[step, step]) ** 2
             checks.append(_check(f"rhs[l={l},m={m}]", report.rhs, expected,
                                  "theory: |c_m0 c_mm|^2", tol=1e-10))
@@ -274,12 +273,18 @@ def _run_bad_observable_demo(p: dict) -> dict:
 
 
 def _run_werner_audit(p: dict) -> dict:
-    audit = werner_phi_threshold(p["a"], p["b"], p["phi"], tol=p["tol"])
+    a, b, phi = p["a"], p["b"], p["phi"]
+    audit = werner_phi_threshold(a, b, phi, tol=p["tol"])
+    r = math.cos(phi) * a * b / (a * a + b * b)  # Re(e^{-i phi} a* b), normalised
+    expected = 2.0 / (1.0 + math.sqrt(1.0 + 32.0 * r * r))
+    bell = expected == 0.5
     checks = [
-        _check("x_critical", audit.result.x_critical, 0.5,
-               "theory: Bell-state threshold x > 1/2", tol=1e-6),
+        _check("x_critical", audit.result.x_critical, expected,
+               "theory: Bell-state threshold x > 1/2" if bell
+               else "theory: detected when x > 2/(1+sqrt(1+32r^2))", tol=1e-6),
         _check("linear_formula_agrees", audit.linear_agrees, False,
-               "derived: the linear radicand 1+32r gives ~0.390, not 1/2"),
+               "derived: the linear radicand 1+32r gives ~0.390, not 1/2" if bell
+               else "derived: the linear radicand 1+32r does not reproduce the scan"),
         _check("squared_formula_agrees", audit.squared_agrees, True,
                "derived: the squared radicand 1+32r^2 reproduces the scan"),
     ]

@@ -24,7 +24,6 @@ from .hilbert import (
     DensityMatrix,
     Observable,
     StateVector,
-    clamp_variance,
     min_eigenvalue,
     moments,
     partial_transpose_matrix,
@@ -221,12 +220,12 @@ def srpt_evaluate(
     tolerances are module constants, not parameters, and the reports echo them
     (UncertaintyReport.violation_tol, AdmissibilityReport.adm_tol); the PPT
     test's tolerance is hilbert.PSD_TOL.  The unchecked mode is for pairs
-    already checked or admissible by construction (a scan's certification,
-    the prop1 search's candidates) and to demonstrate what goes wrong with
-    unsuitable observables; with check_admissibility=False a "violation" on a
-    separable state is possible and meaningless.  The prop2 search scores its
-    points without srpt_evaluate and certifies its best point by a checked
-    one.
+    already checked (a scan's certification) and to demonstrate what goes
+    wrong with unsuitable observables; with check_admissibility=False a
+    "violation" on a separable state is possible and meaningless.  The prop1
+    search makes one checked evaluation of its one pair; the prop2 search
+    scores its points without srpt_evaluate and certifies its best point by a
+    checked one.
     """
     require_same_space(state, a)  # before the compile; the witness checks B against A
     witness = CompiledWitness(a, b, k)
@@ -267,17 +266,13 @@ def duan_criterion(
     x2, p2 = (q / math.sqrt(2) for q in quadratures(d2))
     blocks = rm.reshape(d1, d2, d1, d2)
 
-    def mode1(op):
-        return real_part(complex(np.einsum("iaja,ji->", blocks, op)))
-
-    def mode2(op):
-        return real_part(complex(np.einsum("iaib,ba->", blocks, op)))
+    def mode_moments(subscripts, op):
+        """Mean and variance of op on the mode that subscripts contracts."""
+        return moments(*(complex(np.einsum(subscripts, blocks, o)) for o in (op, op @ op)))
 
     def pair_moments(op1, op2):
-        m1 = mode1(op1)
-        m2 = mode2(op2)
-        var1 = clamp_variance(mode1(op1 @ op1) - m1 * m1)
-        var2 = clamp_variance(mode2(op2 @ op2) - m2 * m2)
+        m1, var1 = mode_moments("iaja,ji->", op1)
+        m2, var2 = mode_moments("iaib,ba->", op2)
         cov = real_trace_product(rm, np.kron(op1, op2)) - m1 * m2
         return var1, var2, cov
 

@@ -84,9 +84,10 @@ class SearchResult:
 class WernerFormulaAudit:
     """Numeric Werner threshold next to two readings of the closed formula.
 
-    linear_formula uses the radicand 1 + 32 r with r = Re(e^{-i phi} a* b);
-    squared_formula uses 1 + 32 r^2.  Both readings are reported so a
-    disagreement is surfaced rather than silently resolved.
+    linear_formula uses the radicand 1 + 32 r with r = Re(e^{-i phi} a* b),
+    and is NaN, reported as null, where 1 + 32 r < 0; squared_formula uses
+    1 + 32 r^2.  Both readings are reported so a disagreement is surfaced
+    rather than silently resolved.
     """
 
     result: ThresholdResult
@@ -99,7 +100,7 @@ class WernerFormulaAudit:
         out = self.result.to_dict()
         out.update(
             {
-                "linear_formula": self.linear_formula,
+                "linear_formula": None if math.isnan(self.linear_formula) else self.linear_formula,
                 "squared_formula": self.squared_formula,
                 "linear_agrees": self.linear_agrees,
                 "squared_agrees": self.squared_agrees,
@@ -368,21 +369,13 @@ def schmidt_aligned_prop1(psi: StateVector, i0: int, i1: int) -> tuple[Observabl
     return a, b
 
 
-def _maximize_prop1(rho: DensityMatrix, restarts: int) -> SearchResult:
+def _maximize_prop1(rho: DensityMatrix) -> SearchResult:
+    """The checked report of the Schmidt-aligned pair at levels 0 and 1, which the
+    SVD gives the two largest coefficients: slack (s_0 s_1)^2 (Proposition 1)."""
     if rho.space.num_subsystems != 2:
         raise ValueError(f"the prop1 family needs a bipartite space, got {rho.space.dims}")
-    psi = _pure_vector(rho)
-    levels = min(rho.space.dims)
-
-    best = None
-    for i0 in range(levels):
-        for i1 in range(i0 + 1, levels):
-            a, b = schmidt_aligned_prop1(psi, i0, i1)
-            report = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
-            if best is None or best[1].slack < report.slack:
-                best = (np.array([i0, i1], dtype=float), report, (a, b))
-
-    return SearchResult(best[0], srpt_evaluate(rho, *best[2], 0), 0)
+    report = srpt_evaluate(rho, *schmidt_aligned_prop1(_pure_vector(rho), 0, 1), 0)
+    return SearchResult(np.array([0.0, 1.0]), report, 0)
 
 
 def maximize_violation(
@@ -391,14 +384,15 @@ def maximize_violation(
     """Maximize SRPT slack over an admissible-by-construction witness family.
 
     family "prop2": two independent admissible two-qubit observables on a
-    (2, 2) space, optimized with Nelder-Mead restarts.  family "prop1":
-    Schmidt-aligned projector/flip pairs for a pure bipartite state,
-    enumerated over level pairs.
+    (2, 2) space, optimized with Nelder-Mead restarts from seed.  family
+    "prop1": the projector/flip pair of a pure bipartite state aligned with its
+    two largest Schmidt coefficients, which Proposition 1 makes the best pair
+    of the family; one checked evaluation, and restarts and seed are unused.
     """
     if family == "prop2":
         return _maximize_prop2(rho, restarts, seed)
     if family == "prop1":
-        return _maximize_prop1(rho, restarts)
+        return _maximize_prop1(rho)
     raise ValueError(f"unknown witness family {family!r}")
 
 

@@ -47,6 +47,22 @@ def test_run_werner_bell_threshold_follows_phi(phi, expected, capsys):
     assert abs(doc["checks"][0]["expected"] - expected) <= 1e-6
 
 
+@pytest.mark.parametrize("params, linear_defined", [
+    (["phi=0.5"], True), (["phi=2"], False), (["phi=3"], False), (["a=0.8", "b=0.6"], True),
+])
+def test_run_werner_audit_passes_off_the_bell_point(params, linear_defined, capsys):
+    argv = ["run", "werner-audit"] + [arg for p in params for arg in ("--param", p)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"passed":true' in out
+    doc = json.loads(out)
+    audit = doc["results"]["audit"]
+    # 1 + 32 r < 0 leaves the linear reading undefined, written as null
+    assert (audit["linear_formula"] is not None) == linear_defined
+    assert audit["linear_agrees"] is False
+    assert doc["checks"][0]["expected"] == pytest.approx(audit["squared_formula"], abs=1e-12)
+
+
 def test_run_unknown_case_exits_1(capsys):
     assert main(["run", "unknown-case"]) == 1
     assert "list-cases" in capsys.readouterr().err
@@ -94,7 +110,9 @@ def _counting(counts, key, fn):
 @pytest.mark.parametrize("argv, compiled, residuals", [
     (["cat", "--param", "truncation=16"], 1, 2),
     (["osc2d", "--param", "n=6"], 1, 2),
-    (["osc3d", "--param", "n=4"], 9, 18),
+    (["osc3d", "--param", "n=1"], 1, 2),
+    (["osc3d", "--param", "n=2"], 2, 4),
+    (["osc3d", "--param", "n=4"], 4, 8),
 ])
 def test_pure_cases_validate_no_density_matrix_and_compile_once_per_witness(
         argv, compiled, residuals, monkeypatch, capsys):

@@ -239,6 +239,36 @@ def test_maximize_prop1_matches_schmidt_oracle():
     assert list(result.best_params) == [0.0, 1.0]
 
 
+PROP1_STATES = [random_pure(dims, seed) for dims in ((2, 2), (3, 3), (2, 5), (4, 6))
+                for seed in (0, 1)] + [schmidt_state((1.0,) * 4, (4, 4))]
+
+
+@pytest.mark.parametrize("psi", PROP1_STATES, ids=lambda psi: "x".join(map(str, psi.space.dims)))
+def test_prop1_search_compiles_one_witness_and_beats_every_level_pair(psi, monkeypatch):
+    """Proposition 1: the pair at the two largest Schmidt coefficients has the
+    largest slack of all Schmidt-aligned pairs, so one checked evaluation is
+    the search."""
+    compile_pair = criteria.CompiledWitness.__init__
+    counts = {"compiled": 0}
+
+    def counting_compile(self, *args):
+        counts["compiled"] += 1
+        compile_pair(self, *args)
+
+    rho = density_from_pure(psi)
+    monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
+    result = maximize_violation(rho, "prop1")
+    assert counts["compiled"] == 1
+    assert list(result.best_params) == [0.0, 1.0]
+
+    levels = min(psi.space.dims)
+    reference = max((srpt_evaluate(rho, *search.schmidt_aligned_prop1(psi, i0, i1), 0)
+                     for i0 in range(levels) for i1 in range(i0 + 1, levels)),
+                    key=lambda report: report.slack)
+    assert result.best_report.slack >= (
+        reference.slack - 1e-12 * max(reference.lhs, reference.rhs))
+
+
 def test_maximize_prop1_rejects_mixed_state():
     with pytest.raises(ValueError):
         maximize_violation(werner(BELL, 0.5), "prop1")
