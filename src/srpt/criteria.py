@@ -24,14 +24,14 @@ from .hilbert import (
     DensityMatrix,
     Observable,
     StateVector,
+    TermOperator,
+    aligned,
     min_eigenvalue,
     moments,
     partial_transpose_matrix,
     quadratures,
     real_part,
-    real_trace_product,
     require_same_space,
-    trace_product,
 )
 
 VIOLATION_TOL = 1e-9
@@ -63,7 +63,11 @@ class UncertaintyReport:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Frobenius residual of (M^G)^2 - (M^2)^G at one subsystem."""
+    """Relative residual ||(M^G)^2 - (M^2)^G||_F / ||M||_F^2 at one subsystem.
+
+    Both norms scale as s^2 under M -> sM, so the verdict does not depend on
+    the scale of M.
+    """
 
     residual: float
     admissible: bool
@@ -115,10 +119,12 @@ def _build_report(expectations: Sequence[complex]) -> UncertaintyReport:
     return UncertaintyReport(lhs, comm_term, anticomm_term, rhs, slack, slack > VIOLATION_TOL)
 
 
-def _residual(m: Observable, mg_sq: np.ndarray, k: int) -> float:
-    """Frobenius norm of (M^G)^2 - (M^2)^G at subsystem k, given (M^G)^2."""
-    m_sq_g = partial_transpose_matrix(m.matrix @ m.matrix, m.space.dims, k)
-    return float(np.linalg.norm(mg_sq - m_sq_g))
+def _residual(m: TermOperator, mg_sq: TermOperator, k: int) -> float:
+    """||(M^G)^2 - (M^2)^G||_F / ||M||_F^2 for a Hermitian M at subsystem k,
+    given (M^G)^2 = M^G @ M^G; 0 when the difference is 0, as for M = 0.
+    ||M||_F^2 = ||M^G||_F^2 = tr((M^G)^2), as M^G is Hermitian too."""
+    defect = m.pt_square_defect(k, mg_sq)
+    return defect / mg_sq.trace().real if defect else 0.0
 
 
 def _state_matrix(state: StateVector | DensityMatrix) -> np.ndarray:
@@ -135,42 +141,67 @@ def _admissibility(residual: float) -> AdmissibilityReport:
     return AdmissibilityReport(residual, residual <= ADMISSIBILITY_TOL)
 
 
+# Row i weighs the terms of A', A'^2, B', B'^2, (AB)' and (BA)' into operator i
+# of the SRPT: A', A'^2, B', B'^2, [A,B]' = (AB)' - (BA)' and {A,B}' = (AB)' + (BA)'.
+_SRPT_ROWS = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                       [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, -1], [0, 0, 0, 0, 1, 1]])
+
+
 class CompiledWitness:
     """The SRPT operators of the pair (A, B) at subsystem k, formed once.
 
-    operators holds A', A'^2, B', B'^2, [A,B]' and {A,B}' as raw matrices,
-    where ' is the partial transpose at k, or no transpose when k is None.
-    A and B must share one space.  The admissibility residuals are taken
-    from the compiled squares A'^2 and B'^2, and only when asked for, so an
-    unchecked evaluation does no residual work.
+    A', A'^2, B', B'^2, (AB)' and (BA)' are formed as TermOperators from the
+    terms of A and B, where ' is the partial transpose at k, or no transpose
+    when k is None, so no d x d matrix is made unless A or B is a dense
+    matrix.  Their terms are held in one operator, so that a state is read
+    once, and weighed into the six SRPT operators A', A'^2, B', B'^2,
+    [A,B]' and {A,B}'.  A and B must share one space.  The admissibility
+    residuals are taken from the compiled squares A'^2 and B'^2, and only
+    when asked for, so an unchecked evaluation does no residual work.
     """
 
-    __slots__ = ("a", "b", "k", "operators")
+    __slots__ = ("a", "b", "k", "_terms", "_squares", "_products", "_stack", "_weights")
 
     def __init__(self, a: Observable, b: Observable, k: int | None):
         require_same_space(a, b)
-        ab = a.matrix @ b.matrix
-        ba = b.matrix @ a.matrix
-        a_eff, b_eff, comm_eff, anticomm_eff = (
-            m if k is None else partial_transpose_matrix(m, a.space.dims, k)
-            for m in (a.matrix, b.matrix, ab - ba, ab + ba))
-        self.a, self.b, self.k = a, b, k
-        self.operators = (a_eff, a_eff @ a_eff, b_eff, b_eff @ b_eff, comm_eff, anticomm_eff)
+        ta, tb = aligned(a.terms, b.terms)
+        a_eff, b_eff, ab_eff, ba_eff = (
+            m if k is None else m.partial_transpose(k) for m in (ta, tb, ta @ tb, tb @ ta))
+        self.a, self.b, self.k, self._terms = a, b, k, (ta, tb)
+        self._squares = (a_eff @ a_eff, b_eff @ b_eff)
+        self._products = (ab_eff, ba_eff)
+        parts = (a_eff, self._squares[0], b_eff, self._squares[1], ab_eff, ba_eff)
+        self._stack = TermOperator.concatenate(parts)
+        self._weights = np.repeat(_SRPT_ROWS, [len(op.coeffs) for op in parts],
+                                  axis=1) * self._stack.coeffs
 
     @property
     def commutator(self) -> np.ndarray:
-        """[A,B]' as a raw matrix."""
-        return self.operators[4]
+        """[A,B]' as a d x d matrix."""
+        return (self._products[0] - self._products[1]).matrix
 
     @property
     def anticommutator(self) -> np.ndarray:
-        """{A,B}' as a raw matrix."""
-        return self.operators[5]
+        """{A,B}' as a d x d matrix."""
+        return (self._products[0] + self._products[1]).matrix
+
+    def _sums(self, values: np.ndarray) -> list[complex]:
+        """The six operators' weighted sums of per-term values."""
+        return np.einsum("it,t->i", self._weights, values).tolist()
+
+    def expectations(self, state: StateVector | DensityMatrix) -> list[complex]:
+        """The expectation values of the six operators in a pure or mixed state."""
+        return self._sums(self._stack.term_expectations(state))
+
+    def traces(self) -> list[complex]:
+        """The traces of the six operators."""
+        return self._sums(self._stack.term_traces())
 
     def admissibility(self) -> tuple[AdmissibilityReport, AdmissibilityReport]:
-        """The admissibility reports of A and B at k, from ||(M')^2 - (M^2)'||."""
-        return (_admissibility(_residual(self.a, self.operators[1], self.k)),
-                _admissibility(_residual(self.b, self.operators[3], self.k)))
+        """The admissibility reports of A and B at k, from the relative residual
+        ||(M')^2 - (M^2)'|| / ||M||^2."""
+        return tuple(_admissibility(_residual(m, m_sq, self.k))
+                     for m, m_sq in zip(self._terms, self._squares))
 
     def check_admissibility(self) -> None:
         """Raise AdmissibilityError naming the first of A, B that is not admissible at k."""
@@ -182,8 +213,7 @@ class CompiledWitness:
         """The report of a pure or mixed state; raises ValueError unless it lives
         on the pair's space.  Admissibility is not checked here."""
         require_same_space(state, self.a)
-        rho = _state_matrix(state)
-        return _build_report([trace_product(rho, op) for op in self.operators])
+        return _build_report(self.expectations(state))
 
 
 def sr_uncertainty(
@@ -195,9 +225,10 @@ def sr_uncertainty(
 
 
 def is_admissible(m: Observable, k: int = 0) -> AdmissibilityReport:
-    """Check (M^G)^2 = (M^2)^G, the condition for M to be usable in the SRPT test."""
-    mg = partial_transpose_matrix(m.matrix, m.space.dims, k)
-    return _admissibility(_residual(m, mg @ mg, k))
+    """Check (M^G)^2 = (M^2)^G, the condition for M to be usable in the SRPT
+    test, by the relative residual that CompiledWitness.admissibility reports."""
+    mg = m.terms.partial_transpose(k)
+    return _admissibility(_residual(m.terms, mg @ mg, k))
 
 
 def srpt_evaluate(
@@ -209,12 +240,14 @@ def srpt_evaluate(
 ) -> UncertaintyReport:
     """Schrodinger-Robertson inequality with every operator partially transposed.
 
-    state is a DensityMatrix or a StateVector; a pure state is evaluated on its
-    projector |psi><psi| and never validated as a DensityMatrix.  A violation
-    (slack > VIOLATION_TOL) certifies entanglement of the state across the
-    (k | rest) cut, provided both observables are admissible at k, i.e.
-    their residual ||(M^G)^2 - (M^2)^G|| is at most ADMISSIBILITY_TOL.  The
-    pair is compiled once into a CompiledWitness; a checked evaluation raises
+    state is a DensityMatrix or a StateVector; a pure state is read as its
+    amplitudes, never as |psi><psi|, and is never validated as a
+    DensityMatrix.  A violation (slack > VIOLATION_TOL) certifies
+    entanglement of the state across the (k | rest) cut, provided both
+    observables are admissible at k, i.e. their relative residual
+    ||(M^G)^2 - (M^2)^G|| / ||M||^2 is at most ADMISSIBILITY_TOL, whatever
+    the scale of M.  The pair is compiled once into a CompiledWitness; a
+    checked evaluation raises
     through its check_admissibility, as the threshold scans do, and `srpt
     check` reports the same residuals from its admissibility().  Both
     tolerances are module constants, not parameters, and the reports echo them
@@ -249,8 +282,8 @@ def duan_criterion(
     u = |a| x1 + x2/a and v = |a| p1 - p2/a satisfy
     <(Du)^2> + <(Dv)^2> >= a^2 + 1/a^2 for every separable two-mode state.
     a may be negative, which flips the sign of the mode-2 quadratures.  The
-    quadrature moments do not depend on a and are computed once.  state is a
-    DensityMatrix or a StateVector, whose projector is used unvalidated.
+    quadrature moments do not depend on a and are computed once, as the term
+    expectations of one TermOperator; a StateVector is read as its amplitudes.
     """
     if len(state.space.dims) != 2:
         raise ValueError(f"Duan criterion needs exactly two modes, got dims {state.space.dims}")
@@ -261,23 +294,22 @@ def duan_criterion(
         raise ValueError("a_param must be nonzero")
 
     d1, d2 = state.space.dims
-    rm = _state_matrix(state)
     x1, p1 = (q / math.sqrt(2) for q in quadratures(d1))
     x2, p2 = (q / math.sqrt(2) for q in quadratures(d2))
-    blocks = rm.reshape(d1, d2, d1, d2)
+    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    # per quadrature pair (q1, q2), the terms q1, q1^2, q2, q2^2 and q1 x q2
+    mode1 = [f for q in (x1, p1) for f in (q, q @ q, eye1, eye1, q)]
+    mode2 = [f for q in (x2, p2) for f in (eye2, eye2, q, q @ q, q)]
+    terms = TermOperator(state.space, np.ones(10), (np.array(mode1), np.array(mode2)))
+    values = terms.term_expectations(state).tolist()
 
-    def mode_moments(subscripts, op):
-        """Mean and variance of op on the mode that subscripts contracts."""
-        return moments(*(complex(np.einsum(subscripts, blocks, o)) for o in (op, op @ op)))
+    def pair_moments(e1, e1_sq, e2, e2_sq, e12):
+        m1, var1 = moments(e1, e1_sq)
+        m2, var2 = moments(e2, e2_sq)
+        return var1, var2, real_part(e12) - m1 * m2
 
-    def pair_moments(op1, op2):
-        m1, var1 = mode_moments("iaja,ji->", op1)
-        m2, var2 = mode_moments("iaib,ba->", op2)
-        cov = real_trace_product(rm, np.kron(op1, op2)) - m1 * m2
-        return var1, var2, cov
-
-    var_x1, var_x2, cov_x = pair_moments(x1, x2)
-    var_p1, var_p2, cov_p = pair_moments(p1, p2)
+    var_x1, var_x2, cov_x = pair_moments(*values[:5])
+    var_p1, var_p2, cov_p = pair_moments(*values[5:])
 
     reports = []
     for a_param in a_values:

@@ -1,9 +1,11 @@
-"""Dense complex tensor algebra over multipartite Hilbert spaces.
+"""Complex tensor algebra over multipartite Hilbert spaces.
 
-States and operators are numpy arrays wrapped in small frozen dataclasses
-that pin the tensor structure and validate the physics invariants at
-construction time.  Everything is immutable after construction and every
-operation is pure, so all types are safe to share across threads.
+States are numpy arrays wrapped in small frozen dataclasses that pin the
+tensor structure and validate the physics invariants at construction time.
+Operators are sums of Kronecker products (TermOperator): every operation
+the SRPT criterion needs acts on the local factors, so a d x d matrix is
+formed only when one is read.  Everything is immutable after construction
+and every operation is pure, so all types are safe to share across threads.
 
 Basis convention: row-major ordering |i0 i1 ...> with subsystem 0 as the
 slowest index.  The partial transpose of subsystem k swaps that
@@ -121,18 +123,259 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
+class TermOperator:
+    """The operator sum_t c_t F_t0 x F_t1 x ... over consecutive slots of subsystems.
+
+    slots holds the subsystem dimensions of each slot, one subsystem per
+    slot unless given; factors[s] stacks the (t, D_s, D_s) matrices of slot
+    s, D_s the product of its dimensions, and coeffs the t coefficients.  A
+    dense matrix is the one-slot case (TermOperator.dense).  Every operation
+    takes a fixed number of numpy calls per slot, never one per term, and
+    none forms a d x d matrix unless the operator has one slot; `matrix`
+    assembles it when read.  Operands of a product or sum with different
+    slots are both taken to one slot first.  The arrays are not copied.
+    """
+
+    __slots__ = ("space", "slots", "coeffs", "factors", "_matrix")
+
+    def __init__(self, space: HilbertSpace, coeffs, factors: Sequence, slots=None):
+        slots = (tuple((d,) for d in space.dims) if slots is None
+                 else tuple(tuple(int(d) for d in slot) for slot in slots))
+        coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+        factors = tuple(np.asarray(f, dtype=complex) for f in factors)
+        if sum(slots, ()) != space.dims:
+            raise ValueError(f"slots {slots} do not make up dims {space.dims}")
+        for slot, f in zip(slots, factors, strict=True):
+            dim = math.prod(slot)
+            if f.shape != (len(coeffs), dim, dim):
+                raise ValueError(f"factor shape {f.shape} does not match {len(coeffs)} terms "
+                                 f"on a slot of dimension {dim}")
+        self.space, self.slots, self.coeffs, self.factors = space, slots, coeffs, factors
+        self._matrix = None
+
+    def _like(self, coeffs: np.ndarray, factors: tuple) -> "TermOperator":
+        """An operator on this space and slots, unvalidated, from arrays built here."""
+        out = object.__new__(TermOperator)
+        out.space, out.slots, out.coeffs, out.factors = self.space, self.slots, coeffs, factors
+        out._matrix = None
+        return out
+
+    @classmethod
+    def dense(cls, space: HilbertSpace, matrix: np.ndarray) -> "TermOperator":
+        """The one-slot operator of a d x d matrix, whose `matrix` is that array."""
+        op = cls(space, _ONE, (matrix[None],), (space.dims,))
+        op._matrix = matrix
+        return op
+
+    @staticmethod
+    def concatenate(ops: Sequence["TermOperator"]) -> "TermOperator":
+        """The operator holding every term of ops, which share one space and slots."""
+        first = ops[0]
+        if any(op.slots != first.slots for op in ops):  # equal slots imply equal spaces
+            raise ValueError("concatenate needs operators on one space and slots")
+        return first._like(np.concatenate([op.coeffs for op in ops]),
+                           tuple(np.concatenate(fs) for fs in zip(*(op.factors for op in ops))))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix, assembled on first read and kept, read-only."""
+        if self._matrix is None:
+            t = len(self.coeffs)
+            out = self.coeffs[:, None, None] * self.factors[0]
+            for f in self.factors[1:]:
+                m, n = out.shape[-1], f.shape[-1]
+                out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(t, m * n, m * n)
+            # summed from -0.0, the identity that keeps the sign of a lone -0.0 term
+            out = np.add.reduce(out, axis=0, initial=_NEG_ZERO) if t else out.sum(axis=0)
+            out.setflags(write=False)
+            self._matrix = out
+        return self._matrix
+
+    def _one_slot(self) -> "TermOperator":
+        return self if len(self.slots) == 1 else TermOperator.dense(self.space, self.matrix)
+
+    def _slot_of(self, k: int) -> tuple[int, int]:
+        """The slot holding subsystem k and k's place in it."""
+        n = len(self.space.dims)
+        if not 0 <= k < n:
+            raise ValueError(f"subsystem index {k} out of range for dims {self.space.dims}")
+        if len(self.slots) == n:
+            return k, 0
+        for s, slot in enumerate(self.slots):
+            if k < len(slot):
+                return s, k
+            k -= len(slot)
+        raise AssertionError("slots make up the space")
+
+    def __matmul__(self, other: "TermOperator") -> "TermOperator":
+        """The product: term t of self times term u of other is term t*u + u."""
+        a, b = aligned(self, other)
+        if len(a.coeffs) == 1:  # the broadcast below, without its reshape
+            return a._like(a.coeffs * b.coeffs, tuple(f @ g for f, g in zip(a.factors, b.factors)))
+        coeffs = (a.coeffs[:, None] * b.coeffs).reshape(-1)
+        return a._like(coeffs, tuple((f[:, None] @ g).reshape(-1, *f.shape[1:])
+                                     for f, g in zip(a.factors, b.factors)))
+
+    def _combined(self, other: "TermOperator", sign: float) -> "TermOperator":
+        a, b = aligned(self, other)
+        return a._like(np.concatenate([a.coeffs, sign * b.coeffs]),
+                       tuple(np.concatenate([f, g]) for f, g in zip(a.factors, b.factors)))
+
+    def __add__(self, other: "TermOperator") -> "TermOperator":
+        return self._combined(other, 1.0)
+
+    def __sub__(self, other: "TermOperator") -> "TermOperator":
+        return self._combined(other, -1.0)
+
+    def adjoint(self) -> "TermOperator":
+        return self._like(self.coeffs.conj(), tuple(f.conj().swapaxes(1, 2) for f in self.factors))
+
+    def hermiticity_defect(self) -> float:
+        """The Frobenius norm of T - T^dagger: 0.0 at once for terms that are
+        Hermitian one by one (real coefficients, Hermitian factors)."""
+        if not self.coeffs.imag.any() and all(
+                (f == f.conj().swapaxes(1, 2)).all() for f in self.factors):
+            return 0.0
+        return math.sqrt((self - self.adjoint()).norm_sq())
+
+    def _transposed_at(self, k: int, stack: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+        """The slot s holding k and the partial transpose at k of a stack on
+        it, by default factors[s]: its two axes swapped if k is alone in s."""
+        s, j = self._slot_of(k)
+        stack = self.factors[s] if stack is None else stack
+        if len(self.slots[s]) == 1:
+            return s, stack.swapaxes(1, 2)
+        return s, partial_transpose_matrix(stack, self.slots[s], j)
+
+    def partial_transpose(self, k: int) -> "TermOperator":
+        """The partial transpose at subsystem k: one transpose, of the slot holding k."""
+        s, transposed = self._transposed_at(k)
+        return self._like(self.coeffs, self.factors[:s] + (transposed,) + self.factors[s + 1:])
+
+    def pt_square_defect(self, k: int, pt_square: "TermOperator") -> float:
+        """||(T^G)^2 - (T^2)^G||_F at subsystem k, given pt_square = T^G @ T^G.
+
+        The two squares have the same terms, in the same order, on every slot
+        but the one holding k, so their difference is taken in that slot
+        alone, term by term: factors that agree there cancel to exact zeros
+        instead of leaving the rounding of a difference of two sums (see
+        norm_sq).  A single term whose slot at k holds k alone has no defect,
+        as (F^T)^2 = (F^2)^T.
+        """
+        s, _ = self._slot_of(k)
+        if len(self.coeffs) == 1 and len(self.slots[s]) == 1:
+            return 0.0
+        f = self.factors[s]
+        _, square_pt = self._transposed_at(k, (f[:, None] @ f).reshape(-1, *f.shape[1:]))
+        factors = list(pt_square.factors)
+        factors[s] = factors[s] - square_pt
+        return math.sqrt(pt_square._like(pt_square.coeffs, tuple(factors)).norm_sq())
+
+    def term_traces(self) -> np.ndarray:
+        """tr(F_t0 x F_t1 x ...) per term: the product of the factor traces."""
+        out = np.einsum("tii->t", self.factors[0])
+        for f in self.factors[1:]:
+            out = out * np.einsum("tii->t", f)
+        return out
+
+    def trace(self) -> complex:
+        return complex(self.coeffs @ self.term_traces())
+
+    def term_expectations(self, state: "StateVector | DensityMatrix") -> np.ndarray:
+        """<psi|F_t0 x F_t1 x ...|psi> or tr(rho F_t0 x F_t1 x ...) per term.
+
+        A pure state is taken as its amplitudes, never as |psi><psi|: slot by
+        slot from the last, its factors are applied to psi reshaped to the
+        slots' dimensions with one batched matmul, whose output axis then
+        moves to the front.  A DensityMatrix is read as the vector of its
+        transpose with the row and column index of each slot side by side;
+        slot by slot from the first, one matmul contracts that index pair
+        with the vectorised factors, which shrinks the array by D_s^2.
+        """
+        require_same_space(state, self)
+        t = len(self.coeffs)
+        if t == 0:
+            return np.zeros(0, dtype=complex)
+        if isinstance(state, StateVector):
+            amp = state.amplitudes
+            y = amp[None]
+            for f in reversed(self.factors):
+                y = (y.reshape(len(y), -1, f.shape[-1]) @ f.swapaxes(1, 2)).swapaxes(1, 2)
+            return y.reshape(t, -1) @ amp.conj()
+        dims = tuple(f.shape[-1] for f in self.factors)
+        n = len(dims)
+        # r[b_0, a_0, b_1, a_1, ...] = rho[(a_0, a_1, ...), (b_0, b_1, ...)]
+        r = state.matrix.reshape(dims + dims).transpose(
+            [axis for s in range(n) for axis in (n + s, s)])
+        r = self.factors[0].reshape(t, -1) @ r.reshape(dims[0] ** 2, -1)
+        for f, dim in zip(self.factors[1:], dims[1:]):
+            r = (f.reshape(t, 1, dim * dim) @ r.reshape(t, dim * dim, -1)).reshape(t, -1)
+        return r.reshape(t)
+
+    def norm_sq(self) -> float:
+        """The squared Frobenius norm, from the Gram matrix of the terms: the
+        sum over t, u of c_t conj(c_u) prod_s tr(F_ts F_us^dagger).  The
+        products are summed exactly (math.fsum), so terms that cancel bit for
+        bit give 0.0; terms that cancel only up to rounding leave about
+        sqrt(eps) times the norm of the parts, so a difference of two
+        near-equal operators belongs in one slot (pt_square_defect) before
+        its norm is taken.  An operator with a slot of zero factors is 0.0 at once."""
+        if not all(f.any() for f in self.factors):
+            return 0.0
+        gram = self.coeffs[:, None] * self.coeffs.conj()
+        for f in self.factors:
+            flat = f.reshape(len(f), -1)
+            gram = gram * np.einsum("ti,ui->tu", flat, flat.conj())
+        return max(math.fsum(gram.real.ravel().tolist()), 0.0)
+
+
+_ONE = np.ones(1, dtype=complex)
+_ONE.setflags(write=False)
+_NEG_ZERO = complex(-0.0, -0.0)
+
+
+def aligned(a: TermOperator, b: TermOperator) -> tuple[TermOperator, TermOperator]:
+    """a and b on one slot structure: as they are if they share one, else both as one slot."""
+    if a.slots == b.slots:  # equal slots imply equal spaces
+        return a, b
+    require_same_space(a, b)
+    return a._one_slot(), b._one_slot()
+
+
+@dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator over a HilbertSpace."""
+    """Hermitian operator over a HilbertSpace, held as a TermOperator.
+
+    terms is a d x d matrix, held as the one-slot operator, or a
+    TermOperator on space, whose arrays are copied.  A matrix is checked
+    entry by entry (max |M - M^dagger| within HERMITICITY_TOL); a
+    TermOperator by the norm of T - T^dagger, without forming d x d.
+    `matrix` is the d x d matrix, assembled from the terms when first read.
+    """
 
     space: HilbertSpace
-    matrix: np.ndarray
+    terms: TermOperator
 
     def __post_init__(self):
-        d = self.space.total_dim
-        mat = _locked(self.matrix, (d, d), "observable")
-        _require_hermitian(mat, "observable")
-        object.__setattr__(self, "matrix", mat)
+        terms = self.terms
+        if isinstance(terms, TermOperator):
+            require_same_space(terms, self)
+            coeffs = _locked(terms.coeffs, terms.coeffs.shape, "observable coefficient")
+            terms = TermOperator(self.space, coeffs, [
+                _locked(f, f.shape, "observable factor") for f in terms.factors], terms.slots)
+            defect = terms.hermiticity_defect()
+            if not defect <= HERMITICITY_TOL:
+                raise ValueError(f"observable not Hermitian: defect {defect}")
+        else:
+            d = self.space.total_dim
+            mat = _locked(terms, (d, d), "observable")
+            _require_hermitian(mat, "observable")
+            terms = TermOperator.dense(self.space, mat)
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.terms.matrix
 
 
 def basis_index(space: HilbertSpace, levels: Sequence[int]) -> int:
@@ -154,17 +397,19 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def partial_transpose_matrix(matrix: np.ndarray, dims: Sequence[int], k: int) -> np.ndarray:
-    """Transpose the bra/ket indices of subsystem k only, on a raw matrix."""
+    """Transpose the bra/ket indices of subsystem k only, on a raw matrix or
+    on each matrix of a stack of shape (..., d, d)."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     if not 0 <= k < n:
         raise ValueError(f"subsystem index {k} out of range for dims {dims}")
     d = math.prod(dims)
-    if matrix.shape != (d, d):
+    lead = matrix.shape[:-2]
+    if matrix.shape[-2:] != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
-    t = matrix.reshape(dims + dims)
-    t = t.swapaxes(k, n + k)
-    return np.ascontiguousarray(t.reshape(d, d))
+    t = matrix.reshape(lead + dims + dims)
+    t = t.swapaxes(len(lead) + k, len(lead) + n + k)
+    return np.ascontiguousarray(t.reshape(lead + (d, d)))
 
 
 def require_same_space(rho, m):
@@ -183,11 +428,6 @@ def real_part(z: complex) -> float:
     if abs(z.imag) >= IMAG_TOL:
         raise ValueError(f"expectation value has imaginary part {z.imag}")
     return z.real
-
-
-def real_trace_product(rho_matrix: np.ndarray, op_matrix: np.ndarray) -> float:
-    """Re tr(rho @ op) for Hermitian op; raises if the imaginary part is not noise."""
-    return real_part(trace_product(rho_matrix, op_matrix))
 
 
 def clamp_variance(var: float) -> float:

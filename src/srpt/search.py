@@ -165,18 +165,17 @@ def threshold_scan(
 
     The pair is compiled and checked for admissibility once.  Every
     expectation value is affine in x, so <psi|O|psi> and tr(O)/d are taken
-    once per operator and each scan point costs O(1).  The point at the
-    bracket's upper end is then evaluated densely, by an unchecked
-    srpt_evaluate of werner(psi, x), and must give the same verdict.
+    once per operator, from its terms, and each scan point costs O(1).  The
+    point at the bracket's upper end is then evaluated densely, by an
+    unchecked srpt_evaluate of werner(psi, x), and must give the same
+    verdict.
     """
     _require_state(psi)
     require_same_space(psi, a)
     witness = CompiledWitness(a, b, k)
     witness.check_admissibility()
-    amp = psi.amplitudes
     d = psi.space.total_dim
-    ends = [(complex(np.vdot(amp, op @ amp)), complex(np.trace(op)) / d)
-            for op in witness.operators]
+    ends = list(zip(witness.expectations(psi), [tr / d for tr in witness.traces()]))
 
     def detected(x: float) -> bool:
         return _build_report([x * pure + (1.0 - x) * mixed for pure, mixed in ends]).violated

@@ -6,7 +6,9 @@ violation is a valid entanglement certificate.  Most pairs follow one
 pattern, a projector onto chosen basis kets plus a symmetric flip between
 basis kets, and are built by the one constructor projector_flip_pair:
 prop1_pair, prop3_triple, oscillator2d_pair, oscillator3d_pair,
-multiphoton_pair and werner_multipartite_pair.
+multiphoton_pair and werner_multipartite_pair.  Those, cat_quadratures and
+werner_bipartite_pair are built as TermOperators, one factor per subsystem;
+prop2_observable is a dense 4 x 4 matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    basis_index,
+    TermOperator,
     quadratures,
 )
 
@@ -89,18 +91,27 @@ def projector_flip_pair(
     flips: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> tuple[Observable, Observable]:
     """A = sum_p |p><p| over the kets in project, B = sum |u><v| + |v><u|
-    over the ket pairs (u, v) in flips; kets are per-subsystem level tuples."""
-    dim = space.total_dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for levels in project:
-        i = basis_index(space, levels)
-        a[i, i] += 1.0
-    b = np.zeros((dim, dim), dtype=complex)
-    for u, v in flips:
-        i, j = basis_index(space, u), basis_index(space, v)
-        b[i, j] += 1.0
-        b[j, i] += 1.0
-    return Observable(space, a), Observable(space, b)
+    over the ket pairs (u, v) in flips; kets are per-subsystem level tuples.
+    Each dyad |u><v| is one term, the product of the unit dyads |u_i><v_i|."""
+    return (Observable(space, _dyads(space, [(p, p) for p in project])),
+            Observable(space, _dyads(space, [d for u, v in flips for d in ((u, v), (v, u))])))
+
+
+def _dyads(space: HilbertSpace, pairs: Sequence) -> TermOperator:
+    """sum |u><v| over the ket pairs (u, v), one term per pair."""
+    n = space.num_subsystems
+    kets = np.array(pairs, dtype=int).reshape(len(pairs), 2, -1 if pairs else n)
+    if kets.shape[2] != n:
+        raise ValueError(f"need {n} levels, got {kets.shape[2]}")
+    if (kets < 0).any() or (kets >= space.dims).any():
+        raise ValueError(f"levels out of range for dims {space.dims}")
+    terms = np.arange(len(kets))
+    factors = []
+    for s, d in enumerate(space.dims):
+        f = np.zeros((len(kets), d, d), dtype=complex)
+        f[terms, kets[:, 0, s], kets[:, 1, s]] = 1.0
+        factors.append(f)
+    return TermOperator(space, np.ones(len(kets)), factors)
 
 
 def _double_flip(i: int, j: int, rest: tuple[int, ...] = ()) -> list:
@@ -240,18 +251,18 @@ def cat_quadratures(a1: float, a2: float, b1: float, b2: float,
     space = HilbertSpace((truncation, truncation))
     x_quad, p_quad = quadratures(truncation)
     eye = np.eye(truncation, dtype=complex)
-    a = Observable(space, a1 * np.kron(x_quad, eye) + b1 * np.kron(eye, x_quad))
-    b = Observable(space, a2 * np.kron(p_quad, eye) + b2 * np.kron(eye, p_quad))
-    return a, b
+    a = TermOperator(space, [a1, b1], (np.array([x_quad, eye]), np.array([eye, x_quad])))
+    b = TermOperator(space, [a2, b2], (np.array([p_quad, eye]), np.array([eye, p_quad])))
+    return Observable(space, a), Observable(space, b)
 
 
 def werner_bipartite_pair(phi: float) -> tuple[Observable, Observable]:
     """sigma_z x sigma_z together with sigma_x x (cos(phi) sigma_x + sin(phi) sigma_y)."""
     space = HilbertSpace((2, 2))
-    a = Observable(space, np.kron(PAULI_Z, PAULI_Z))
     rotated = math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y
-    b = Observable(space, np.kron(PAULI_X, rotated))
-    return a, b
+    a = TermOperator(space, [1.0], (PAULI_Z[None], PAULI_Z[None]))
+    b = TermOperator(space, [1.0], (PAULI_X[None], rotated[None]))
+    return Observable(space, a), Observable(space, b)
 
 
 def werner_multipartite_pair(n_parties: int) -> tuple[Observable, Observable]:

@@ -14,6 +14,20 @@ def basis_state(space: HilbertSpace, levels) -> StateVector:
     return StateVector(space, amp)
 
 
+def assert_same_report(got: dict, want: dict, rel: float = 1e-12) -> None:
+    """got equals want, UncertaintyReport dicts, up to rounding: every flag
+    exactly and every number within rel times the largest of lhs, comm_term,
+    anticomm_term and rhs.  A pure state read as its amplitudes and its
+    projector read as a DensityMatrix reach a report by different sums."""
+    assert got.keys() == want.keys()
+    scale = max(abs(want[key]) for key in ("lhs", "comm_term", "anticomm_term", "rhs"))
+    for key, value in want.items():
+        if isinstance(value, bool):
+            assert got[key] is value, key
+        else:
+            assert abs(got[key] - value) <= rel * scale, (key, got[key], value)
+
+
 def kron_observable(*mats) -> Observable:
     """The observable m1 (x) m2 (x) ... of square matrices, one per subsystem."""
     return Observable(HilbertSpace(tuple(len(m) for m in mats)), reduce(np.kron, mats))

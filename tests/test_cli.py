@@ -13,6 +13,8 @@ from srpt.states import random_pure, schmidt_state
 from srpt.witnesses import prop1_pair, werner_bipartite_pair
 from srpt.hilbert import HilbertSpace, Observable, PAULI_X, PAULI_Y
 
+from helpers import assert_same_report
+
 KNOWN_CASES = {
     "werner-bell", "ghzN-scan", "cat", "duan-cat", "osc2d", "osc3d",
     "multiphoton", "prop1-demo", "bad-observable-demo", "werner-audit",
@@ -221,6 +223,26 @@ def test_check_inadmissible_exits_3_unless_unchecked(io_files, capsys):
     assert doc["report"]["violated"] is True
 
 
+def test_check_refuses_a_rescaled_inadmissible_observable(tmp_path, capsys):
+    # the absolute residual of 1e-6 (XY + YX) is 8e-12; the relative one is 1
+    space = HilbertSpace((2, 2))
+    files = {
+        "zero.json": state_to_json(schmidt_state((1.0, 0.0), (2, 2))),
+        "a.json": observable_to_json(Observable(space, 1e6 * np.kron(PAULI_X, PAULI_X))),
+        "b.json": observable_to_json(Observable(
+            space, 1e-6 * (np.kron(PAULI_X, PAULI_Y) + np.kron(PAULI_Y, PAULI_X)))),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["check", *(str(tmp_path / name) for name in files)]) == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert "report" not in doc
+    assert doc["admissibility_a"]["admissible"] is True
+    assert doc["admissibility_b"]["residual"] == pytest.approx(1.0)
+    assert "observable B inadmissible" in captured.err
+
+
 def test_check_rejects_garbage_input(io_files, capsys):
     _, a_path, b_path, tmp_path = io_files
     garbage = tmp_path / "garbage.json"
@@ -327,7 +349,7 @@ def test_check_evaluates_an_amplitudes_file_without_a_density_matrix(
                         _counting(counts, "density", hilbert.DensityMatrix.__post_init__))
     assert main(["check", *map(str, paths)]) == 0
     assert counts["density"] == 0
-    assert json.loads(capsys.readouterr().out)["report"] == want
+    assert_same_report(json.loads(capsys.readouterr().out)["report"], want)
 
 
 def test_check_out_of_range_subsystem_exits_1(io_files, capsys):
@@ -346,7 +368,7 @@ def test_check_subsystem_1_matches_srpt_evaluate(tmp_path, capsys):
     assert main(["check", *map(str, paths), "--subsystem", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["subsystem"] == 1
-    assert doc["report"] == srpt_evaluate(density_from_pure(psi), a, b, 1).to_dict()
+    assert_same_report(doc["report"], srpt_evaluate(density_from_pure(psi), a, b, 1).to_dict())
 
 
 # --- witness subcommand -----------------------------------------------------------

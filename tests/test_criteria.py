@@ -27,9 +27,17 @@ from srpt.hilbert import (
     partial_transpose_matrix,
 )
 from srpt.states import random_pure, random_separable, schmidt_state, werner
-from srpt.witnesses import Prop2Params, prop1_pair, prop2_observable, prop3_triple
+from srpt.witnesses import (
+    Prop2Params,
+    cat_quadratures,
+    oscillator3d_pair,
+    prop1_pair,
+    prop2_observable,
+    prop3_triple,
+    werner_multipartite_pair,
+)
 
-from helpers import basis_state, kron_observable
+from helpers import assert_same_report, basis_state, kron_observable
 
 Q1 = HilbertSpace((2,))
 Q2 = HilbertSpace((2, 2))
@@ -112,8 +120,10 @@ def test_sigma_xx_admissible_exactly():
 
 
 def test_counterexample_inadmissible():
+    # B = XY + YX: (B^G)^2 = 2 (1 - ZZ) and (B^2)^G = 2 (1 + ZZ), so the residual
+    # ||(B^G)^2 - (B^2)^G|| = ||4 ZZ|| = 8 equals ||B||^2 = 8 and the relative one is 1
     rep = is_admissible(bad_observable())
-    assert rep.residual == pytest.approx(8.0)
+    assert rep.residual == pytest.approx(1.0)
     assert not rep.admissible
 
 
@@ -122,6 +132,51 @@ def test_products_always_admissible():
     for _ in range(50):
         obs = kron_observable(rand_herm(rng, 2), rand_herm(rng, 3))
         assert is_admissible(obs).residual <= 1e-12
+
+
+def scaled(obs, s):
+    return Observable(obs.space, s * obs.matrix)
+
+
+def test_rescaled_counterexample_is_refused():
+    # B's absolute residual is 8e-12 here, below ADMISSIBILITY_TOL; the relative one reads 1
+    rho = basis_state(Q2, (0, 0))
+    a, b = scaled(kron_observable(PAULI_X, PAULI_X), 1e6), scaled(bad_observable(), 1e-6)
+    with pytest.raises(AdmissibilityError) as err:
+        srpt_evaluate(rho, a, b)
+    assert err.value.label == "B"
+    assert err.value.residual == pytest.approx(1.0)
+    assert ppt_min_eigenvalue(rho) >= 0.0  # separable: a violation here would be false
+
+
+SCALE_PAIRS = [
+    lambda rng: (kron_observable(PAULI_X, PAULI_X), bad_observable()),
+    lambda rng: prop1_pair(HilbertSpace((3, 3)), 0, 2),
+    lambda rng: (kron_observable(rand_herm(rng, 2), rand_herm(rng, 3)),
+                 Observable(HilbertSpace((2, 3)), rand_herm(rng, 6))),
+    lambda rng: (prop2_observable(Prop2Params(*(rng.standard_normal(3) for _ in range(4)),
+                                              float(rng.standard_normal()))),
+                 Observable(Q2, rand_herm(rng, 4))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCALE_PAIRS),
+       st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+def test_admissibility_does_not_depend_on_the_scale(seed, pair, log_s, log_t):
+    a, b = pair(np.random.default_rng(seed))
+    s, t = 10.0 ** log_s, 10.0 ** log_t
+    def flags(a, b):
+        return [adm.admissible for adm in CompiledWitness(a, b, 0).admissibility()]
+
+    want = flags(a, b)
+    assert flags(scaled(a, s), scaled(b, t)) == want
+    assert [is_admissible(scaled(a, s)).admissible, is_admissible(scaled(b, t)).admissible] == want
+
+
+def test_is_admissible_is_the_witness_residual():
+    a, b = kron_observable(PAULI_X, PAULI_X), bad_observable()
+    assert CompiledWitness(a, b, 0).admissibility() == (is_admissible(a), is_admissible(b))
 
 
 # --- SRPT inequality -------------------------------------------------------------
@@ -168,7 +223,7 @@ def test_srpt_checked_mode_refuses_bad_observable():
     with pytest.raises(AdmissibilityError) as err:
         srpt_evaluate(rho, kron_observable(PAULI_X, PAULI_X), bad_observable())
     assert err.value.label == "B"
-    assert err.value.residual == pytest.approx(8.0)
+    assert err.value.residual == pytest.approx(1.0)
 
 
 def test_srpt_dimension_mismatch():
@@ -250,12 +305,16 @@ def test_pure_state_path_matches_the_density_path(seed, setting):
     psi = random_pure(dims, seed)
     rho = density_from_pure(psi)
     a, b = pair(psi.space)
-    assert srpt_evaluate(psi, a, b, k) == srpt_evaluate(rho, a, b, k)
-    assert sr_uncertainty(psi, a, b) == sr_uncertainty(rho, a, b)
+    assert_same_report(srpt_evaluate(psi, a, b, k).to_dict(),
+                       srpt_evaluate(rho, a, b, k).to_dict())
+    assert_same_report(sr_uncertainty(psi, a, b).to_dict(), sr_uncertainty(rho, a, b).to_dict())
     assert ppt_min_eigenvalue(psi, k) == ppt_min_eigenvalue(rho, k)
     if len(dims) == 2:
         grid = [0.5, -1.3, 2.0]
-        assert duan_criterion(psi, grid) == duan_criterion(rho, grid)
+        for got, want in zip(duan_criterion(psi, grid), duan_criterion(rho, grid)):
+            assert (got.a_param, got.bound, got.violated) == (want.a_param, want.bound,
+                                                              want.violated)
+            assert abs(got.lhs_sum - want.lhs_sum) <= 1e-12 * want.bound
 
 
 def test_report_rejects_a_state_on_another_space():
@@ -412,3 +471,65 @@ def test_duan_cat_verdict_truncation_converged():
         sums[trunc] = np.array([r.lhs_sum for r in reports])
     assert np.max(np.abs(sums[24] - sums[16])) < 1e-6
     assert np.max(np.abs(sums[32] - sums[24])) < 1e-6
+
+
+# --- Kronecker-term form against the dense one-slot form -----------------------------
+
+
+def dense_pair(pair):
+    return tuple(Observable(obs.space, obs.matrix) for obs in pair)
+
+
+def assert_terms_match_dense(state, pair, k):
+    """The report and admissibility of a term-form pair equal those of its
+    dense one-slot form, up to rounding."""
+    dense = dense_pair(pair)
+    got, want = CompiledWitness(*pair, k), CompiledWitness(*dense, k)
+    assert_same_report(got.report(state).to_dict(), want.report(state).to_dict())
+    assert ([adm.admissible for adm in got.admissibility()]
+            == [adm.admissible for adm in want.admissibility()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 12), st.booleans())
+def test_cat_quadrature_terms_match_the_dense_report(seed, trunc, pure):
+    rng = np.random.default_rng(seed)
+    pair = cat_quadratures(*rng.uniform(-2.0, 2.0, 4), trunc)
+    psi = random_pure((trunc, trunc), seed)
+    state = psi if pure else werner(psi, float(rng.uniform(0.1, 0.9)))
+    for k in (0, 1):
+        assert_terms_match_dense(state, pair, k)
+
+
+FLIP_PAIRS = [
+    ((3, 3), lambda: prop1_pair(HilbertSpace((3, 3)), 0, 2)),
+    ((2, 4), lambda: prop1_pair(HilbertSpace((2, 4)), 1, 0)),
+    ((2, 2, 2), lambda: prop3_triple(3)),
+    ((3, 3, 3), lambda: oscillator3d_pair(2, 0)),
+    ((2, 2, 2, 2), lambda: werner_multipartite_pair(4)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(FLIP_PAIRS), st.booleans(), st.sampled_from([0, 1]))
+def test_projector_flip_terms_match_the_dense_report(seed, setting, pure, k):
+    dims, pair = setting
+    pair = pair()
+    rng = np.random.default_rng(seed)
+    state = (random_pure(dims, seed) if pure
+             else DensityMatrix(HilbertSpace(dims), rand_density(rng, math.prod(dims))))
+    assert_terms_match_dense(state, pair, k)
+
+
+def test_duan_reads_a_state_vector_without_kron_or_outer_products(monkeypatch):
+    psi = random_pure((5, 4), 3)
+    want = duan_criterion(density_from_pure(psi), [0.5, 1.5])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d x d product was formed")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "outer", refuse)
+    for got, ref in zip(duan_criterion(psi, [0.5, 1.5]), want):
+        assert got.violated == ref.violated
+        assert abs(got.lhs_sum - ref.lhs_sum) <= 1e-12 * ref.bound

@@ -12,12 +12,14 @@ from srpt.hilbert import (
     HilbertSpace,
     Observable,
     StateVector,
+    TermOperator,
     annihilation,
     basis_index,
     density_from_json,
     density_from_pure,
     dumps_canonical,
     hermitian_eigensystem,
+    kron_all,
     min_eigenvalue,
     mix,
     moments,
@@ -249,6 +251,54 @@ def test_zz_xx_commute():
     witness = CompiledWitness(kron_observable(PAULI_Z, PAULI_Z),
                               kron_observable(PAULI_X, PAULI_X), None)
     assert np.allclose(witness.commutator, np.zeros((4, 4)))
+
+
+# --- Kronecker-term operators ------------------------------------------------------
+
+
+def rand_terms(rng, dims, t):
+    space = HilbertSpace(dims)
+    coeffs = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+    factors = [rng.standard_normal((t, d, d)) + 1j * rng.standard_normal((t, d, d)) for d in dims]
+    return TermOperator(space, coeffs, factors)
+
+
+def dense_terms(op):
+    return sum(c * kron_all(fs) for c, fs in zip(op.coeffs, zip(*op.factors)))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 3), (3, 2, 2)]), st.integers(1, 3))
+def test_term_operations_match_the_dense_matrices(seed, dims, t):
+    rng = np.random.default_rng(seed)
+    a, b = rand_terms(rng, dims, t), rand_terms(rng, dims, 2)
+    m_a, m_b = dense_terms(a), dense_terms(b)
+    tol = 1e-12 * np.linalg.norm(m_a) * np.linalg.norm(m_b)
+    assert np.allclose(a.matrix, m_a, rtol=0, atol=1e-13 * np.linalg.norm(m_a))
+    assert np.max(np.abs((a @ b).matrix - m_a @ m_b)) <= tol
+    assert np.max(np.abs((a - b).matrix - (m_a - m_b))) <= tol
+    # a one-slot operand takes the other to one slot too
+    assert np.max(np.abs((TermOperator.dense(a.space, m_a) @ b).matrix - m_a @ m_b)) <= tol
+    for k in range(len(dims)):
+        assert np.allclose(a.partial_transpose(k).matrix, partial_transpose_matrix(m_a, dims, k))
+    assert abs(a.trace() - np.trace(m_a)) <= 1e-12 * np.linalg.norm(m_a) * len(m_a)
+    assert a.norm_sq() == pytest.approx(np.linalg.norm(m_a) ** 2, rel=1e-12)
+    rho = DensityMatrix(a.space, rand_density(rng, a.space.total_dim))
+    psi = random_pure(dims, seed)
+    for state, matrix in ((rho, rho.matrix), (psi, density_from_pure(psi).matrix)):
+        want = trace_product(matrix, m_a)
+        assert abs(a.coeffs @ a.term_expectations(state) - want) <= 1e-12 * np.linalg.norm(m_a)
+
+
+def test_term_observables_are_checked_for_hermiticity_and_finite_entries():
+    space = HilbertSpace((2, 2))
+    assert Observable(space, TermOperator(space, [1.0], (PAULI_X[None], PAULI_Y[None])))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Observable(space, TermOperator(space, [1j], (PAULI_X[None], PAULI_Y[None])))
+    with pytest.raises(ValueError, match="non-finite"):
+        Observable(space, TermOperator(space, [np.inf], (PAULI_X[None], PAULI_Y[None])))
+    with pytest.raises(ValueError, match="factor shape"):
+        TermOperator(space, [1.0, 2.0], (PAULI_X[None], PAULI_Y[None]))
 
 
 # --- eigensolver ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from srpt.hilbert import (
     PAULI_Z,
     HilbertSpace,
     Observable,
+    basis_index,
     density_from_pure,
     partial_transpose_matrix,
 )
@@ -434,3 +435,62 @@ def test_every_constructor_output_is_admissible():
     outputs += list(werner_multipartite_pair(4))
     for obs in outputs:
         assert is_admissible(obs).residual <= 1e-12
+
+
+# --- Kronecker-term form ------------------------------------------------------------
+
+
+def _dense_projector_flip(space, project, flips):
+    """The matrices of projector_flip_pair as it used to assemble them, entry by entry."""
+    dim = space.total_dim
+    a = np.zeros((dim, dim), dtype=complex)
+    for levels in project:
+        a[basis_index(space, levels), basis_index(space, levels)] += 1.0
+    b = np.zeros((dim, dim), dtype=complex)
+    for u, v in flips:
+        i, j = basis_index(space, u), basis_index(space, v)
+        b[i, j] += 1.0
+        b[j, i] += 1.0
+    return a, b
+
+
+def _recording_projector_flip(monkeypatch):
+    """Patch witnesses.projector_flip_pair to also return the entry-by-entry matrices."""
+    import srpt.witnesses as w
+
+    build = w.projector_flip_pair
+    monkeypatch.setattr(w, "projector_flip_pair", lambda space, project, flips: (
+        build(space, project, flips), _dense_projector_flip(space, project, flips)))
+
+
+PROJECTOR_FLIP_FAMILIES = (
+    [("osc2d", lambda n=n: oscillator2d_pair(n)) for n in range(1, 9)]
+    + [("osc3d", lambda n=n, m=m: oscillator3d_pair(n, m))
+       for n in range(1, 6) for m in range(-n, n + 1) if m or n >= 2]
+    + [("werner-multipartite", lambda n=n: werner_multipartite_pair(n)) for n in range(2, 11)]
+    + [("prop3", lambda w=w: prop3_triple(w)) for w in (1, 2, 3)]
+    + [("prop1", lambda dims=dims, i0=i0, i1=i1: prop1_pair(HilbertSpace(dims), i0, i1))
+       for dims, i0, i1 in (((2, 2), 0, 1), ((3, 3), 0, 2), ((3, 4), 2, 1), ((5, 6), 4, 0))])
+
+
+@pytest.mark.parametrize("family, build", PROJECTOR_FLIP_FAMILIES, ids=[
+    f"{name}-{i}" for i, (name, _) in enumerate(PROJECTOR_FLIP_FAMILIES)])
+def test_projector_flip_matrices_are_byte_equal_to_the_dense_assembly(family, build,
+                                                                       monkeypatch):
+    _recording_projector_flip(monkeypatch)
+    pair, dense = build()
+    for obs, want in zip(pair, dense):
+        assert obs.matrix.dtype == want.dtype and obs.matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (8, 8)])
+def test_checked_schmidt_aligned_prop1_pairs_pass(dims):
+    from srpt.search import schmidt_aligned_prop1
+    from srpt.states import random_pure
+
+    for seed in range(3):
+        psi = random_pure(dims, seed)
+        s = np.linalg.svd(psi.amplitudes.reshape(dims), compute_uv=False)
+        report = srpt_evaluate(psi, *schmidt_aligned_prop1(psi, 0, 1), 0)  # checked
+        assert report.violated
+        assert abs(report.rhs - (s[0] * s[1]) ** 2) <= 1e-12
