@@ -124,55 +124,59 @@ class DensityMatrix:
 
 
 class TermOperator:
-    """The operator sum_t c_t F_t0 x F_t1 x ... over consecutive slots of subsystems.
+    """The operator sum_t c_t F_t0 x F_t1 x ... of stacked local factors.
 
-    slots holds the subsystem dimensions of each slot, one subsystem per
-    slot unless given; factors[s] stacks the (t, D_s, D_s) matrices of slot
-    s, D_s the product of its dimensions, and coeffs the t coefficients.  A
-    dense matrix is the one-slot case (TermOperator.dense).  Every operation
-    takes a fixed number of numpy calls per slot, never one per term, and
-    none forms a d x d matrix unless the operator has one slot; `matrix`
-    assembles it when read.  Operands of a product or sum with different
-    slots are both taken to one slot first.  The arrays are not copied.
+    factors holds one (t, d_s, d_s) stack per subsystem s, or a single
+    (t, d, d) stack over the whole space: the one-slot form of a dense
+    matrix (TermOperator.dense).  coeffs holds the t coefficients.  Every
+    operation takes a fixed number of numpy calls per slot, never one per
+    term, and none forms a d x d matrix unless the operator has one slot;
+    `matrix` assembles it when read.  Operands of a product or sum in
+    different forms are both taken to one slot first.  The arrays are not
+    copied.
     """
 
-    __slots__ = ("space", "slots", "coeffs", "factors", "_matrix")
+    __slots__ = ("space", "coeffs", "factors", "_matrix")
 
-    def __init__(self, space: HilbertSpace, coeffs, factors: Sequence, slots=None):
-        slots = (tuple((d,) for d in space.dims) if slots is None
-                 else tuple(tuple(int(d) for d in slot) for slot in slots))
+    def __init__(self, space: HilbertSpace, coeffs, factors: Sequence):
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         factors = tuple(np.asarray(f, dtype=complex) for f in factors)
-        if sum(slots, ()) != space.dims:
-            raise ValueError(f"slots {slots} do not make up dims {space.dims}")
-        for slot, f in zip(slots, factors, strict=True):
-            dim = math.prod(slot)
+        if len(factors) == len(space.dims):
+            slot_dims = space.dims
+        elif len(factors) == 1:
+            slot_dims = (space.total_dim,)
+        else:
+            raise ValueError(f"{len(factors)} factor stacks for dims {space.dims}: need one "
+                             "per subsystem or one over the whole space")
+        for dim, f in zip(slot_dims, factors):
             if f.shape != (len(coeffs), dim, dim):
                 raise ValueError(f"factor shape {f.shape} does not match {len(coeffs)} terms "
                                  f"on a slot of dimension {dim}")
-        self.space, self.slots, self.coeffs, self.factors = space, slots, coeffs, factors
+        self.space, self.coeffs, self.factors = space, coeffs, factors
         self._matrix = None
 
     def _like(self, coeffs: np.ndarray, factors: tuple) -> "TermOperator":
-        """An operator on this space and slots, unvalidated, from arrays built here."""
+        """An operator on this space and form, unvalidated, from arrays built here."""
         out = object.__new__(TermOperator)
-        out.space, out.slots, out.coeffs, out.factors = self.space, self.slots, coeffs, factors
+        out.space, out.coeffs, out.factors = self.space, coeffs, factors
         out._matrix = None
         return out
 
     @classmethod
     def dense(cls, space: HilbertSpace, matrix: np.ndarray) -> "TermOperator":
         """The one-slot operator of a d x d matrix, whose `matrix` is that array."""
-        op = cls(space, _ONE, (matrix[None],), (space.dims,))
+        op = cls(space, _ONE, (matrix[None],))
         op._matrix = matrix
         return op
 
     @staticmethod
     def concatenate(ops: Sequence["TermOperator"]) -> "TermOperator":
-        """The operator holding every term of ops, which share one space and slots."""
+        """The operator holding every term of ops, which share one space and form."""
         first = ops[0]
-        if any(op.slots != first.slots for op in ops):  # equal slots imply equal spaces
-            raise ValueError("concatenate needs operators on one space and slots")
+        for op in ops:
+            require_same_space(op, first)
+            if len(op.factors) != len(first.factors):
+                raise ValueError("concatenate needs operators in one form")
         return first._like(np.concatenate([op.coeffs for op in ops]),
                            tuple(np.concatenate(fs) for fs in zip(*(op.factors for op in ops))))
 
@@ -191,27 +195,23 @@ class TermOperator:
             self._matrix = out
         return self._matrix
 
-    def _one_slot(self) -> "TermOperator":
-        return self if len(self.slots) == 1 else TermOperator.dense(self.space, self.matrix)
+    @property
+    def _is_one_slot(self) -> bool:
+        """True if the operator is one stack over a space of several subsystems."""
+        return len(self.factors) < len(self.space.dims)
 
-    def _slot_of(self, k: int) -> tuple[int, int]:
-        """The slot holding subsystem k and k's place in it."""
-        n = len(self.space.dims)
-        if not 0 <= k < n:
+    def _as_one_slot(self) -> "TermOperator":
+        return self if len(self.factors) == 1 else TermOperator.dense(self.space, self.matrix)
+
+    def _slot_of(self, k: int) -> int:
+        """The slot holding subsystem k."""
+        if not 0 <= k < len(self.space.dims):
             raise ValueError(f"subsystem index {k} out of range for dims {self.space.dims}")
-        if len(self.slots) == n:
-            return k, 0
-        for s, slot in enumerate(self.slots):
-            if k < len(slot):
-                return s, k
-            k -= len(slot)
-        raise AssertionError("slots make up the space")
+        return 0 if self._is_one_slot else k
 
     def __matmul__(self, other: "TermOperator") -> "TermOperator":
         """The product: term t of self times term u of other is term t*u + u."""
         a, b = aligned(self, other)
-        if len(a.coeffs) == 1:  # the broadcast below, without its reshape
-            return a._like(a.coeffs * b.coeffs, tuple(f @ g for f, g in zip(a.factors, b.factors)))
         coeffs = (a.coeffs[:, None] * b.coeffs).reshape(-1)
         return a._like(coeffs, tuple((f[:, None] @ g).reshape(-1, *f.shape[1:])
                                      for f, g in zip(a.factors, b.factors)))
@@ -232,7 +232,9 @@ class TermOperator:
 
     def hermiticity_defect(self) -> float:
         """The Frobenius norm of T - T^dagger: 0.0 at once for terms that are
-        Hermitian one by one (real coefficients, Hermitian factors)."""
+        Hermitian one by one (real coefficients, Hermitian factors), else
+        from the terms by norm_sq, so only about sqrt(eps) of its digits hold
+        unless the terms of T and T^dagger cancel bit for bit."""
         if not self.coeffs.imag.any() and all(
                 (f == f.conj().swapaxes(1, 2)).all() for f in self.factors):
             return 0.0
@@ -241,11 +243,11 @@ class TermOperator:
     def _transposed_at(self, k: int, stack: np.ndarray | None = None) -> tuple[int, np.ndarray]:
         """The slot s holding k and the partial transpose at k of a stack on
         it, by default factors[s]: its two axes swapped if k is alone in s."""
-        s, j = self._slot_of(k)
+        s = self._slot_of(k)
         stack = self.factors[s] if stack is None else stack
-        if len(self.slots[s]) == 1:
-            return s, stack.swapaxes(1, 2)
-        return s, partial_transpose_matrix(stack, self.slots[s], j)
+        if self._is_one_slot:
+            return s, partial_transpose_matrix(stack, self.space.dims, k)
+        return s, stack.swapaxes(1, 2)
 
     def partial_transpose(self, k: int) -> "TermOperator":
         """The partial transpose at subsystem k: one transpose, of the slot holding k."""
@@ -262,8 +264,8 @@ class TermOperator:
         norm_sq).  A single term whose slot at k holds k alone has no defect,
         as (F^T)^2 = (F^2)^T.
         """
-        s, _ = self._slot_of(k)
-        if len(self.coeffs) == 1 and len(self.slots[s]) == 1:
+        s = self._slot_of(k)
+        if len(self.coeffs) == 1 and not self._is_one_slot:
             return 0.0
         f = self.factors[s]
         _, square_pt = self._transposed_at(k, (f[:, None] @ f).reshape(-1, *f.shape[1:]))
@@ -290,7 +292,10 @@ class TermOperator:
         moves to the front.  A DensityMatrix is read as the vector of its
         transpose with the row and column index of each slot side by side;
         slot by slot from the first, one matmul contracts that index pair
-        with the vectorised factors, which shrinks the array by D_s^2.
+        with the vectorised factors, which shrinks the array by D_s^2.  The
+        terms go through in chunks whose first product has at most
+        max(d^2, _CHUNK_ENTRIES) entries, so a long stack on a large space
+        needs no more memory than rho does; below that, in one chunk.
         """
         require_same_space(state, self)
         t = len(self.coeffs)
@@ -307,10 +312,17 @@ class TermOperator:
         # r[b_0, a_0, b_1, a_1, ...] = rho[(a_0, a_1, ...), (b_0, b_1, ...)]
         r = state.matrix.reshape(dims + dims).transpose(
             [axis for s in range(n) for axis in (n + s, s)])
-        r = self.factors[0].reshape(t, -1) @ r.reshape(dims[0] ** 2, -1)
-        for f, dim in zip(self.factors[1:], dims[1:]):
-            r = (f.reshape(t, 1, dim * dim) @ r.reshape(t, dim * dim, -1)).reshape(t, -1)
-        return r.reshape(t)
+        rho = r.reshape(dims[0] ** 2, -1)
+        chunk = max(rho.size, _CHUNK_ENTRIES) // rho.shape[1]
+        out = []
+        for lo in range(0, t, chunk):
+            r = self.factors[0][lo:lo + chunk].reshape(-1, dims[0] ** 2) @ rho
+            for f, dim in zip(self.factors[1:], dims[1:]):
+                c = len(r)
+                r = (f[lo:lo + chunk].reshape(c, 1, dim * dim)
+                     @ r.reshape(c, dim * dim, -1)).reshape(c, -1)
+            out.append(r.reshape(-1))
+        return np.concatenate(out)
 
     def norm_sq(self) -> float:
         """The squared Frobenius norm, from the Gram matrix of the terms: the
@@ -329,17 +341,19 @@ class TermOperator:
         return max(math.fsum(gram.real.ravel().tolist()), 0.0)
 
 
+# entries of the largest intermediate a density contraction may make beyond rho's size
+_CHUNK_ENTRIES = 1 << 22
 _ONE = np.ones(1, dtype=complex)
 _ONE.setflags(write=False)
 _NEG_ZERO = complex(-0.0, -0.0)
 
 
 def aligned(a: TermOperator, b: TermOperator) -> tuple[TermOperator, TermOperator]:
-    """a and b on one slot structure: as they are if they share one, else both as one slot."""
-    if a.slots == b.slots:  # equal slots imply equal spaces
-        return a, b
+    """a and b in one form: as they are if they share one, else both as one slot."""
     require_same_space(a, b)
-    return a._one_slot(), b._one_slot()
+    if len(a.factors) == len(b.factors):
+        return a, b
+    return a._as_one_slot(), b._as_one_slot()
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +363,9 @@ class Observable:
     terms is a d x d matrix, held as the one-slot operator, or a
     TermOperator on space, whose arrays are copied.  A matrix is checked
     entry by entry (max |M - M^dagger| within HERMITICITY_TOL); a
-    TermOperator by the norm of T - T^dagger, without forming d x d.
+    TermOperator by the norm of T - T^dagger, without forming d x d, and,
+    as that norm keeps only about sqrt(eps) of its digits, entry by entry
+    before it is rejected.
     `matrix` is the d x d matrix, assembled from the terms when first read.
     """
 
@@ -362,10 +378,9 @@ class Observable:
             require_same_space(terms, self)
             coeffs = _locked(terms.coeffs, terms.coeffs.shape, "observable coefficient")
             terms = TermOperator(self.space, coeffs, [
-                _locked(f, f.shape, "observable factor") for f in terms.factors], terms.slots)
-            defect = terms.hermiticity_defect()
-            if not defect <= HERMITICITY_TOL:
-                raise ValueError(f"observable not Hermitian: defect {defect}")
+                _locked(f, f.shape, "observable factor") for f in terms.factors])
+            if not terms.hermiticity_defect() <= HERMITICITY_TOL:
+                _require_hermitian(terms.matrix, "observable")
         else:
             d = self.space.total_dim
             mat = _locked(terms, (d, d), "observable")

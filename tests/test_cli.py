@@ -8,7 +8,12 @@ import pytest
 from srpt import criteria, hilbert
 from srpt.cli import CASES, WITNESSES, main
 from srpt.criteria import srpt_evaluate
-from srpt.hilbert import density_from_pure, observable_to_json, state_to_json
+from srpt.hilbert import (
+    density_from_pure,
+    observable_from_json,
+    observable_to_json,
+    state_to_json,
+)
 from srpt.states import random_pure, schmidt_state
 from srpt.witnesses import prop1_pair, werner_bipartite_pair
 from srpt.hilbert import HilbertSpace, Observable, PAULI_X, PAULI_Y
@@ -335,11 +340,19 @@ def test_check_picks_the_state_format_by_key(io_files, capsys):
     assert json.loads(outputs[0])["report"]["violated"] is True
 
 
+def _as_read(*observables):
+    """The observables as `srpt check` reads them: each as its dense matrix."""
+    return [observable_from_json(observable_to_json(m)) for m in observables]
+
+
 def test_check_evaluates_an_amplitudes_file_without_a_density_matrix(
         tmp_path, monkeypatch, capsys):
     psi = random_pure((3, 3), 8)
     a, b = prop1_pair(psi.space, 0, 1)
-    want = srpt_evaluate(density_from_pure(psi), a, b).to_dict()
+    # the CLI reads a and b as dense matrices: the same arithmetic as this
+    # evaluation, and up to rounding that on the projector of psi
+    want = srpt_evaluate(psi, *_as_read(a, b)).to_dict()
+    near = srpt_evaluate(density_from_pure(psi), a, b).to_dict()
     paths = [tmp_path / name for name in ("state.json", "a.json", "b.json")]
     for path, text in zip(paths, (state_to_json(psi), observable_to_json(a),
                                   observable_to_json(b))):
@@ -349,7 +362,9 @@ def test_check_evaluates_an_amplitudes_file_without_a_density_matrix(
                         _counting(counts, "density", hilbert.DensityMatrix.__post_init__))
     assert main(["check", *map(str, paths)]) == 0
     assert counts["density"] == 0
-    assert_same_report(json.loads(capsys.readouterr().out)["report"], want)
+    got = json.loads(capsys.readouterr().out)["report"]
+    assert got == want
+    assert_same_report(got, near)
 
 
 def test_check_out_of_range_subsystem_exits_1(io_files, capsys):
@@ -368,7 +383,7 @@ def test_check_subsystem_1_matches_srpt_evaluate(tmp_path, capsys):
     assert main(["check", *map(str, paths), "--subsystem", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["subsystem"] == 1
-    assert_same_report(doc["report"], srpt_evaluate(density_from_pure(psi), a, b, 1).to_dict())
+    assert doc["report"] == srpt_evaluate(psi, *_as_read(a, b), 1).to_dict()
 
 
 # --- witness subcommand -----------------------------------------------------------

@@ -299,6 +299,37 @@ def test_term_observables_are_checked_for_hermiticity_and_finite_entries():
         Observable(space, TermOperator(space, [np.inf], (PAULI_X[None], PAULI_Y[None])))
     with pytest.raises(ValueError, match="factor shape"):
         TermOperator(space, [1.0, 2.0], (PAULI_X[None], PAULI_Y[None]))
+    with pytest.raises(ValueError, match="one per subsystem or one over the whole space"):
+        TermOperator(HilbertSpace((2, 2, 2)), [1.0], (PAULI_X[None], np.eye(4)[None]))
+
+
+def test_term_observable_hermitian_up_to_rounding_is_accepted():
+    # F x G + F' x G^dagger with F' = F^dagger up to one rounding: Hermitian to
+    # 1e-15 entry by entry, but its norm from the terms reads about 1e-7
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    f_adj = (f * (1 + 2.0 ** -52)).conj().T
+    space = HilbertSpace((3, 2))
+    op = TermOperator(space, [1.0, 1.0], (np.array([f, f_adj]), np.array([g, g.conj().T])))
+    assert op.hermiticity_defect() > hilbert.HERMITICITY_TOL
+    assert np.array_equal(Observable(space, op).matrix, op.matrix)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 3), (3, 2, 2)]))
+def test_density_expectations_in_chunks_match_one_pass(seed, dims):
+    rng = np.random.default_rng(seed)
+    op = rand_terms(rng, dims, 7)
+    rho = DensityMatrix(op.space, rand_density(rng, op.space.total_dim))
+    whole = op.term_expectations(rho)
+    saved = hilbert._CHUNK_ENTRIES
+    hilbert._CHUNK_ENTRIES = 1  # chunks of D_0^2 terms
+    try:
+        chunked = op.term_expectations(rho)
+    finally:
+        hilbert._CHUNK_ENTRIES = saved
+    assert np.allclose(chunked, whole, rtol=1e-13, atol=0)
 
 
 # --- eigensolver ----------------------------------------------------------------
