@@ -230,15 +230,14 @@ class TermOperator:
     def adjoint(self) -> "TermOperator":
         return self._like(self.coeffs.conj(), tuple(f.conj().swapaxes(1, 2) for f in self.factors))
 
-    def hermiticity_defect(self) -> float:
-        """The Frobenius norm of T - T^dagger: 0.0 at once for terms that are
-        Hermitian one by one (real coefficients, Hermitian factors), else
-        from the terms by norm_sq, so only about sqrt(eps) of its digits hold
-        unless the terms of T and T^dagger cancel bit for bit."""
+    def is_exactly_hermitian(self) -> bool:
+        """True if T^dagger holds exactly the terms of T in some order, -0.0
+        read as 0.0: at once for terms Hermitian one by one, else by sorting
+        both.  False does not rule out a T Hermitian up to rounding."""
         if not self.coeffs.imag.any() and all(
                 (f == f.conj().swapaxes(1, 2)).all() for f in self.factors):
-            return 0.0
-        return math.sqrt((self - self.adjoint()).norm_sq())
+            return True
+        return _sorted_terms(self) == _sorted_terms(self.adjoint())
 
     def _transposed_at(self, k: int, stack: np.ndarray | None = None) -> tuple[int, np.ndarray]:
         """The slot s holding k and the partial transpose at k of a stack on
@@ -348,6 +347,12 @@ _ONE.setflags(write=False)
 _NEG_ZERO = complex(-0.0, -0.0)
 
 
+def _sorted_terms(op: TermOperator) -> list[bytes]:
+    """Each term of op, its coefficient and factors with -0.0 as 0.0, as bytes, sorted."""
+    rows = np.hstack([op.coeffs[:, None]] + [f.reshape(len(f), -1) for f in op.factors]) + 0.0
+    return sorted(row.tobytes() for row in rows)
+
+
 def aligned(a: TermOperator, b: TermOperator) -> tuple[TermOperator, TermOperator]:
     """a and b in one form: as they are if they share one, else both as one slot."""
     require_same_space(a, b)
@@ -361,11 +366,10 @@ class Observable:
     """Hermitian operator over a HilbertSpace, held as a TermOperator.
 
     terms is a d x d matrix, held as the one-slot operator, or a
-    TermOperator on space, whose arrays are copied.  A matrix is checked
-    entry by entry (max |M - M^dagger| within HERMITICITY_TOL); a
-    TermOperator by the norm of T - T^dagger, without forming d x d, and,
-    as that norm keeps only about sqrt(eps) of its digits, entry by entry
-    before it is rejected.
+    TermOperator on space, whose arrays are copied.  Either is checked
+    entry by entry (max |M - M^dagger| within HERMITICITY_TOL), except a
+    TermOperator whose adjoint holds exactly its terms
+    (TermOperator.is_exactly_hermitian), which needs no d x d matrix.
     `matrix` is the d x d matrix, assembled from the terms when first read.
     """
 
@@ -379,7 +383,7 @@ class Observable:
             coeffs = _locked(terms.coeffs, terms.coeffs.shape, "observable coefficient")
             terms = TermOperator(self.space, coeffs, [
                 _locked(f, f.shape, "observable factor") for f in terms.factors])
-            if not terms.hermiticity_defect() <= HERMITICITY_TOL:
+            if not terms.is_exactly_hermitian():
                 _require_hermitian(terms.matrix, "observable")
         else:
             d = self.space.total_dim

@@ -1,10 +1,8 @@
 """Factories for the state families under study.
 
 Oscillator angular-momentum eigenstates are built on fixed-total-quanta
-subspaces, where the angular momentum operators act exactly: mode
-operators are assembled on dimension n+2 per mode so every intermediate
-raising step stays below the truncation, then restricted to the
-conserved subspace.
+subspaces: the angular momentum operators conserve the total quanta n, so
+they are assembled directly on the number states of one n.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .hilbert import (
     DensityMatrix,
     HilbertSpace,
     StateVector,
-    annihilation,
     density_from_pure,
     hermitian_eigensystem,
     kron_all,
@@ -108,26 +105,23 @@ def werner(psi: StateVector, x: float) -> DensityMatrix:
 # --- oscillator angular momentum eigenstates ---------------------------------
 
 
-def _angular_momentum_generators(dim: int, n_modes: int) -> list[np.ndarray]:
-    """L_z (and for three modes also L_x, L_y) on the full n_modes product space."""
-    low = annihilation(dim)
-    raise_ = low.conj().T
-    eye = np.eye(dim, dtype=complex)
-
-    def two_mode(i, j):
-        # i (a_i a_j^dag - a_i^dag a_j) embedded at mode slots (i, j)
-        ops_a = [eye] * n_modes
-        ops_b = [eye] * n_modes
-        ops_a[i], ops_a[j] = low, raise_
-        ops_b[i], ops_b[j] = raise_, low
-        return 1j * (kron_all(ops_a) - kron_all(ops_b))
-
-    lz = two_mode(0, 1)
-    if n_modes == 2:
-        return [lz]
-    lx = two_mode(1, 2)
-    ly = two_mode(2, 0)
-    return [lx, ly, lz]
+def _hop_generators(occupations: list[tuple[int, ...]], pairs) -> list[np.ndarray]:
+    """i(a_i a_j^dag - a_i^dag a_j) for each mode pair (i, j), on the number
+    states |occupations> of one total quanta n, a span these operators keep."""
+    index = {occ: row for row, occ in enumerate(occupations)}
+    out = []
+    for i, j in pairs:
+        hop = np.zeros((len(occupations),) * 2)
+        for col, occ in enumerate(occupations):
+            if occ[i]:
+                # a_i a_j^dag moves a quantum from mode i to j; a_i^dag a_j is its transpose
+                row = index[tuple(o - (k == i) + (k == j) for k, o in enumerate(occ))]
+                hop[row, col] = math.sqrt(occ[i]) * math.sqrt(occ[j] + 1)
+                hop[col, row] = -hop[row, col]
+        # times 1j as one real block: entry -r becomes -0.0 - r*1j, a signed
+        # zero the eigenvectors, and so the coefficient tables, depend on
+        out.append(1j * hop)
+    return out
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
@@ -142,14 +136,13 @@ def oscillator2d_eigenstates(n: int) -> list[OscillatorEigenstate]:
     """All n+1 angular-momentum eigenstates with total quanta n, sorted by M."""
     if n < 0:
         raise ValueError(f"total quanta must be >= 0, got {n}")
-    dim_build = n + 2
-    (lz,) = _angular_momentum_generators(dim_build, 2)
-    members = [i * dim_build + (n - i) for i in range(n + 1)]
-    block = lz[np.ix_(members, members)]
+    occupations = [(i, n - i) for i in range(n + 1)]
+    (block,) = _hop_generators(occupations, [(0, 1)])
     vals, vecs = hermitian_eigensystem(block)
 
     d = max(n + 1, 2)
     space = HilbertSpace((d, d))
+    where = np.ravel_multi_index(tuple(zip(*occupations)), space.dims)
     out = []
     for idx in range(n + 1):
         m = int(round(vals[idx].real))
@@ -159,8 +152,7 @@ def oscillator2d_eigenstates(n: int) -> list[OscillatorEigenstate]:
         if abs(coeffs[0]) <= COEFF_TOL or abs(coeffs[n]) <= COEFF_TOL:
             raise ArithmeticError(f"expected nonzero edge coefficients for n={n}, M={m}")
         amp = np.zeros(space.total_dim, dtype=complex)
-        for i in range(n + 1):
-            amp[i * d + (n - i)] = coeffs[i]
+        amp[where] = coeffs
         out.append(OscillatorEigenstate(n, (m,), coeffs, StateVector(space, amp)))
 
     ms = sorted(s.quantum_numbers[0] for s in out)
@@ -178,29 +170,23 @@ def oscillator3d_eigenstates(n: int) -> list[OscillatorEigenstate]:
     """
     if n < 0:
         raise ValueError(f"total quanta must be >= 0, got {n}")
-    dim_build = n + 2
-    lx, ly, lz = _angular_momentum_generators(dim_build, 3)
+    occupations = [(j, i - j, n - i) for i in range(n + 1) for j in range(i + 1)]
+    lx, ly, lz = _hop_generators(occupations, [(1, 2), (2, 0), (0, 1)])
     l_sq = lx @ lx + ly @ ly + lz @ lz
 
-    labels = [(i, j) for i in range(n + 1) for j in range(i + 1)]
-    members = [
-        j * dim_build * dim_build + (i - j) * dim_build + (n - i) for (i, j) in labels
-    ]
-    lz_block = lz[np.ix_(members, members)]
-    lsq_block = l_sq[np.ix_(members, members)]
-
-    vals, vecs = hermitian_eigensystem(lz_block)
+    vals, vecs = hermitian_eigensystem(lz)
     m_values = np.round(vals.real).astype(int)
     if np.max(np.abs(vals - m_values)) > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"non-integer L_z eigenvalue for n={n}")
 
     d = max(n + 1, 2)
     space = HilbertSpace((d, d, d))
+    where = np.ravel_multi_index(tuple(zip(*occupations)), space.dims)
     out = []
     seen = set()
     for m in sorted({int(v) for v in m_values}):
         basis = vecs[:, m_values == m]
-        projected = basis.conj().T @ lsq_block @ basis
+        projected = basis.conj().T @ l_sq @ basis
         sq_vals, sq_vecs = hermitian_eigensystem(projected)
         for col in range(len(sq_vals)):
             l_val = (math.sqrt(1.0 + 4.0 * max(sq_vals[col], 0.0)) - 1.0) / 2.0
@@ -212,17 +198,16 @@ def oscillator3d_eigenstates(n: int) -> list[OscillatorEigenstate]:
             seen.add((l, m))
             coeffs_flat = _phase_fixed(basis @ sq_vecs[:, col])
             if (
-                np.linalg.norm(lz_block @ coeffs_flat - m * coeffs_flat) > EIGEN_RESIDUAL_TOL
-                or np.linalg.norm(lsq_block @ coeffs_flat - l * (l + 1) * coeffs_flat)
+                np.linalg.norm(lz @ coeffs_flat - m * coeffs_flat) > EIGEN_RESIDUAL_TOL
+                or np.linalg.norm(l_sq @ coeffs_flat - l * (l + 1) * coeffs_flat)
                 > EIGEN_RESIDUAL_TOL
             ):
                 raise ArithmeticError(f"eigenpair residual too large for (n,l,m)=({n},{l},{m})")
 
             coeffs = np.zeros((n + 1, n + 1), dtype=complex)
+            coeffs[np.tril_indices(n + 1)] = coeffs_flat
             amp = np.zeros(space.total_dim, dtype=complex)
-            for (i, j), c in zip(labels, coeffs_flat):
-                coeffs[i, j] = c
-                amp[j * d * d + (i - j) * d + (n - i)] = c
+            amp[where] = coeffs_flat
             out.append(OscillatorEigenstate(n, (l, m), coeffs, StateVector(space, amp)))
 
     expected = {(l, m) for l in range(n % 2, n + 1, 2) for m in range(-l, l + 1)}

@@ -312,8 +312,36 @@ def test_term_observable_hermitian_up_to_rounding_is_accepted():
     f_adj = (f * (1 + 2.0 ** -52)).conj().T
     space = HilbertSpace((3, 2))
     op = TermOperator(space, [1.0, 1.0], (np.array([f, f_adj]), np.array([g, g.conj().T])))
-    assert op.hermiticity_defect() > hilbert.HERMITICITY_TOL
+    assert not op.is_exactly_hermitian()
     assert np.array_equal(Observable(space, op).matrix, op.matrix)
+
+
+def test_term_observable_with_a_slightly_wrong_adjoint_factor_is_rejected():
+    # sum over three pairs F x G + F^dagger x G^dagger, factors scaled by up
+    # to 1e3, with one adjoint factor perturbed by 1e-11 to 1e-7: a defect
+    # the norm of T - T^dagger from the terms reads as about 0
+    space = HilbertSpace((4, 4))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pairs = [[(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                  * 10.0 ** rng.uniform(0, 3) for _ in range(2)] for _ in range(3)]
+        fs = [m for f, _ in pairs for m in (f, f.conj().T)]
+        gs = [m for _, g in pairs for m in (g, g.conj().T)]
+        fs[2 * rng.integers(3) + 1] += 10.0 ** rng.uniform(-11, -7) * rng.standard_normal((4, 4))
+        op = TermOperator(space, np.ones(6), (np.array(fs), np.array(gs)))
+        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) > hilbert.HERMITICITY_TOL
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Observable(space, op)
+
+
+def test_a_term_operator_whose_adjoint_permutes_its_terms_is_exactly_hermitian():
+    # |0><1| x |1><0| + |1><0| x |0><1|: the adjoint swaps the two terms, and
+    # its conjugated zeros read -0.0
+    space = HilbertSpace((2, 2))
+    up, down = np.array([[0, 1], [0, 0]], dtype=complex), np.array([[0, 0], [1, 0]], dtype=complex)
+    op = TermOperator(space, [1.0, 1.0], (np.array([up, down]), np.array([down, up])))
+    assert op.is_exactly_hermitian()
+    assert not TermOperator(space, [1.0, 2.0], op.factors).is_exactly_hermitian()
 
 
 @settings(max_examples=20)

@@ -13,6 +13,7 @@ from srpt.hilbert import (
 )
 from srpt.search import maximize_violation
 from srpt.states import (
+    _hop_generators,
     acin_state,
     cat_state,
     eigenstate_table_csv,
@@ -190,7 +191,53 @@ def test_osc3d_n2_labels_and_coefficients():
     assert abs(top.coeffs[2, 2]) > 1e-9
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def full_space_restriction(n, n_modes):
+    """L_z (and L_x, L_y, L^2 for three modes) built on the (n+2)^n_modes
+    product space from truncated mode operators, squared there, and then
+    restricted to the fixed-n rows: a reference for the fixed-n blocks."""
+    dim = n + 2
+    low = annihilation(dim)
+    eye = np.eye(dim, dtype=complex)
+
+    def two_mode(i, j):
+        ops_a, ops_b = [eye] * n_modes, [eye] * n_modes
+        ops_a[i], ops_a[j] = low, low.conj().T
+        ops_b[i], ops_b[j] = low.conj().T, low
+        return 1j * (kron_all(ops_a) - kron_all(ops_b))
+
+    if n_modes == 2:
+        rows = [i * dim + (n - i) for i in range(n + 1)]
+        ops = [two_mode(0, 1)]
+    else:
+        rows = [j * dim * dim + (i - j) * dim + (n - i)
+                for i in range(n + 1) for j in range(i + 1)]
+        ops = [two_mode(1, 2), two_mode(2, 0), two_mode(0, 1)]
+        ops.append(sum(op @ op for op in ops))
+    return [op[np.ix_(rows, rows)] for op in ops]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_osc2d_fixed_n_block_equals_the_full_space_restriction(n):
+    (block,) = _hop_generators([(i, n - i) for i in range(n + 1)], [(0, 1)])
+    (reference,) = full_space_restriction(n, 2)
+    assert block.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_osc3d_fixed_n_blocks_match_the_full_space_restriction(n):
+    occupations = [(j, i - j, n - i) for i in range(n + 1) for j in range(i + 1)]
+    blocks = _hop_generators(occupations, [(1, 2), (2, 0), (0, 1)])
+    *generators, l_sq = full_space_restriction(n, 3)
+    for block, reference in zip(blocks, generators):
+        assert block.tobytes() == reference.tobytes()
+    block_sq = sum(block @ block for block in blocks)
+    if n <= 4:
+        assert block_sq.tobytes() == l_sq.tobytes()
+    # only the order in which the products are summed differs
+    assert np.max(np.abs(block_sq - l_sq)) <= 1e-13 * np.max(np.abs(l_sq))
+
+
+@pytest.mark.parametrize("n", range(9))
 def test_osc3d_orthonormal_complete(n):
     states = oscillator3d_eigenstates(n)
     assert len(states) == (n + 1) * (n + 2) // 2
@@ -199,7 +246,7 @@ def test_osc3d_orthonormal_complete(n):
     assert np.max(np.abs(gram - np.eye(len(states)))) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_osc3d_matches_polynomial_angular_momentum(n):
     # independent oracle: the expanded quartic polynomial for L^2 with
     # number-operator ordering, restricted to the fixed-n subspace

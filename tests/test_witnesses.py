@@ -483,6 +483,19 @@ def test_projector_flip_matrices_are_byte_equal_to_the_dense_assembly(family, bu
         assert obs.matrix.dtype == want.dtype and obs.matrix.tobytes() == want.tobytes()
 
 
+def test_large_witnesses_are_checked_for_hermiticity_without_a_matrix(monkeypatch):
+    from srpt.hilbert import TermOperator
+
+    def no_matrix(self):
+        raise AssertionError("the d x d matrix was assembled")
+
+    monkeypatch.setattr(TermOperator, "matrix", property(no_matrix))
+    werner_multipartite_pair(12)
+    for m in range(-8, 9):
+        oscillator3d_pair(8, m)
+    cat_quadratures(0.3, -0.7, 1.1, 0.2, 256)
+
+
 @pytest.mark.parametrize("dims", [(5, 5), (8, 8)])
 def test_checked_schmidt_aligned_prop1_pairs_pass(dims):
     from srpt.search import schmidt_aligned_prop1
