@@ -152,9 +152,9 @@ def _certified_scan(
     return result
 
 
-def _require_state(psi: StateVector) -> None:
-    if not isinstance(psi, StateVector):
-        raise TypeError(f"expected StateVector, got {type(psi).__name__}")
+def _require_instance(value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(value).__name__}")
 
 
 def threshold_scan(
@@ -170,7 +170,7 @@ def threshold_scan(
     unchecked srpt_evaluate of werner(psi, x), and must give the same
     verdict.
     """
-    _require_state(psi)
+    _require_instance(psi, StateVector)
     require_same_space(psi, a)
     witness = CompiledWitness(a, b, k)
     witness.check_admissibility()
@@ -195,7 +195,7 @@ def ppt_threshold_scan(psi: StateVector, k: int = 0, tol: float = 1e-6) -> Thres
     (|psi><psi|)^G, computed once; each scan point costs O(1).  The point at
     the bracket's upper end is then evaluated densely and must agree.
     """
-    _require_state(psi)
+    _require_instance(psi, StateVector)
     mu = ppt_min_eigenvalue(psi, k)
     d = psi.space.total_dim
     return _certified_scan(
@@ -213,9 +213,9 @@ def _clip_prop2(theta: np.ndarray) -> np.ndarray:
     each vector scaled down to norm <= 4 and eta clipped to [-4, 4]."""
     v = np.array(theta, dtype=float).reshape(-1, 13)
     vectors = v[:, :12].reshape(-1, 4, 3)
-    norms = np.linalg.norm(vectors, axis=2, keepdims=True)
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=2, keepdims=True))
     v[:, :12] = (vectors * (PROP2_NORM_BOUND / np.maximum(norms, PROP2_NORM_BOUND))).reshape(-1, 12)
-    v[:, 12] = np.clip(v[:, 12], -PROP2_NORM_BOUND, PROP2_NORM_BOUND)
+    v[:, 12] = np.minimum(np.maximum(v[:, 12], -PROP2_NORM_BOUND), PROP2_NORM_BOUND)
     return v
 
 
@@ -228,28 +228,45 @@ def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyRepo
     """The SRPT report at subsystem 0, in rho, of the prop2 pair with the 26
     clipped parameters theta, as a function of theta.
 
-    rho^G is taken once.  As tr(rho X^G) = tr(rho^G X), the expectations of
-    A^G, B^G, [A,B]^G and {A,B}^G are those of A, B, [A,B] and {A,B} in
-    rho^G; only (A^G)^2 and (B^G)^2 are taken in rho.  A^G is A's coefficient
-    table with its sigma_y row negated, so A, B, A^G and B^G come from one
-    product of four tables with the Pauli basis.  The report is the one
-    srpt_evaluate gives, up to rounding, without forming an Observable or a
-    CompiledWitness.
+    With P_m = sigma_mu x sigma_nu (m = 4 mu + nu), A = sum_m a_m P_m and
+    B = sum_m b_m P_m for the real Pauli-coefficient tables a and b, and
+    A^G = sum_m s_m a_m P_m with s = _PT_SIGNS repeated over nu.  As
+    tr(rho X^G) = tr(rho^G X), every expectation of the report is a linear or
+    bilinear form in a and b whose matrix depends on rho alone:
+
+      <A^G>         = g.a        g_m = tr(rho^G P_m)
+      <(A^G)^2>     = a.K.a      K   = diag(s) Re(R + R^T)/2 diag(s)
+      <[A,B]^G>     = i a.C.b    C   = Im(G - G^T)
+      <{A,B}^G>     = a.S.b      S   = Re(G + G^T)
+
+    with R_mn = tr(rho P_m P_n) and G_mn = tr(rho^G P_m P_n), and the same
+    for B.  (A^G)^2 = sum_mn s_m s_n a_m a_n P_m P_n, and a.R.a only sees the
+    symmetric part of R.  rho and rho^G are Hermitian, so R^T = conj(R) and
+    G^T = conj(G): the symmetric part of R is real, (R + R^T)/2 = Re(R), and
+    G - G^T = 2i Im(G) is purely imaginary, as is the commutator's
+    expectation, whose real part is therefore set to exactly 0.
+    The block [g | K | C | S], 16 x 49, is formed once; a point then costs
+    one clip, one table fill and one (2 x 16) @ (16 x 49) product, and forms
+    no operator.  The report is the one srpt_evaluate gives, up to rounding.
     """
+    basis = _PAULI_BASIS.reshape(16, 4, 4)
+    pairs = np.einsum("mij,njk->mnik", basis, basis).reshape(256, 16)  # P_m P_n
     rho_t = rho.matrix.T.reshape(16)  # tr(rho X) = rho_t @ X.reshape(16)
     rho_g_t = partial_transpose_matrix(rho.matrix, (2, 2), 0).T.reshape(16)
-    weights = np.array([rho_g_t, rho_g_t, rho_t, rho_t])
-    row_signs = _PT_SIGNS[:, None]
+    r = (pairs @ rho_t).reshape(16, 16)
+    g = (pairs @ rho_g_t).reshape(16, 16)
+    signs = np.repeat(_PT_SIGNS, 4)
+    block = np.column_stack([(_PAULI_BASIS @ rho_g_t).real,
+                             signs[:, None] * (0.5 * (r + r.T)).real * signs,
+                             (g - g.T).imag, (g + g.T).real])
 
     def report(theta: np.ndarray) -> UncertaintyReport:
-        tables = _prop2_tables(_clip_prop2(theta))
-        tables = np.concatenate([tables, tables * row_signs]).reshape(4, 16)
-        ops = (tables @ _PAULI_BASIS).reshape(4, 4, 4)  # A, B, A^G, B^G
-        e_a, e_b = (ops[:2].reshape(2, 16) @ rho_g_t).tolist()
-        # A B, B A, (A^G)^2 and (B^G)^2
-        products = (ops @ ops[[1, 0, 2, 3]]).reshape(4, 16)
-        e_ab, e_ba, e_a_sq, e_b_sq = np.einsum("ij,ij->i", products, weights).tolist()
-        return _build_report((e_a, e_a_sq, e_b, e_b_sq, e_ab - e_ba, e_ab + e_ba))
+        tables = _prop2_tables(_clip_prop2(theta)).reshape(2, 16)
+        y = tables @ block
+        e_a, e_b = y[:, 0].tolist()
+        e_a_sq, e_b_sq = np.einsum("ij,ij->i", y[:, 1:17], tables).tolist()
+        comm, anticomm = (y[0, 17:].reshape(2, 16) @ tables[1]).tolist()
+        return _build_report((e_a, e_a_sq, e_b, e_b_sq, complex(0.0, comm), anticomm))
 
     return report
 
@@ -277,8 +294,8 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray) -> tuple[np.n
     sim, fsim = by_value(*by_value(sim, np.array([f(x) for x in sim], dtype=float)))
     iterations = 1
     while iterations < NM_MAX_ITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+        if (np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL
+                and np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]  # reflect
@@ -387,7 +404,12 @@ def maximize_violation(
     "prop1": the projector/flip pair of a pure bipartite state aligned with its
     two largest Schmidt coefficients, which Proposition 1 makes the best pair
     of the family; one checked evaluation, and restarts and seed are unused.
+    rho must be a DensityMatrix and restarts an int (not a bool), whatever
+    the family; raises TypeError otherwise.
     """
+    _require_instance(rho, DensityMatrix)
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)):
+        raise TypeError(f"restarts must be an int, got {type(restarts).__name__}")
     if family == "prop2":
         return _maximize_prop2(rho, restarts, seed)
     if family == "prop1":

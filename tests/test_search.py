@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,6 +300,24 @@ def test_maximize_prop2_rejects_fewer_than_one_restart(restarts):
         maximize_violation(density_from_pure(BELL), "prop2", restarts=restarts, seed=5)
 
 
+@pytest.mark.parametrize("family", ["prop2", "prop1"])
+def test_maximize_rejects_a_state_vector(family):
+    with pytest.raises(TypeError, match="expected DensityMatrix, got StateVector"):
+        maximize_violation(BELL, family, restarts=2, seed=5)
+
+
+@pytest.mark.parametrize("family", ["prop2", "prop1"])
+@pytest.mark.parametrize("restarts", [True, 2.5, "2", None])
+def test_maximize_rejects_restarts_that_are_not_an_int(family, restarts):
+    with pytest.raises(TypeError, match="restarts must be an int"):
+        maximize_violation(density_from_pure(BELL), family, restarts=restarts, seed=5)
+
+
+def test_maximize_takes_a_numpy_integer_restart_count():
+    result = maximize_violation(density_from_pure(BELL), "prop2", restarts=np.int64(2), seed=5)
+    assert result.restarts_used == 2
+
+
 def _two_qubit_state(kind, seed):
     if kind == "pure":
         return density_from_pure(random_pure((2, 2), seed))
@@ -318,6 +337,32 @@ def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
     b = prop2_observable(search._clipped_prop2(theta[13:]))
     want = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
     assert abs(got.slack - want.slack) <= 1e-12 * max(want.lhs, want.rhs)
+
+
+@given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
+       st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
+def test_compiled_prop2_fields_match_srpt_evaluate(kind, seed, theta):
+    """Every term of the report, not only the slack, agrees with the checked
+    path, and the commutator expectation of the quadratic forms is purely
+    imaginary, so the real-part guard of _build_report can never fire."""
+    rho = _two_qubit_state(kind, seed)
+    theta = np.array(theta)
+    seen = []
+
+    def recording_build_report(expectations):
+        seen.append(expectations)
+        return criteria._build_report(expectations)
+
+    with mock.patch.object(search, "_build_report", recording_build_report):
+        got = search._compile_prop2(rho)(theta)
+    a = prop2_observable(search._clipped_prop2(theta[:13]))
+    b = prop2_observable(search._clipped_prop2(theta[13:]))
+    want = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
+    scale = 1e-12 * max(want.lhs, want.rhs)
+    for field in ("lhs", "comm_term", "anticomm_term", "rhs"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= scale, field
+    (comm_expect,) = [e[4] for e in seen]
+    assert comm_expect.real == 0.0
 
 
 def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeypatch):
