@@ -179,17 +179,14 @@ def _run_osc3d(p: dict) -> dict:
     # the designated pair depends on m only through its flip span: |m|, or 2
     # for m = 0 (at n = 1 the m = 0 state is separable and takes span 1)
     spans = [abs(s.quantum_numbers[1]) or min(n, 2) for s in eigenstates]
-    reports = [None] * len(eigenstates)
-    for span in sorted(set(spans)):
-        witness = CompiledWitness(*oscillator3d_pair(n, span), 0)
+    witnesses = {span: CompiledWitness(*oscillator3d_pair(n, span), 0)
+                 for span in sorted(set(spans))}
+    for witness in witnesses.values():
         witness.check_admissibility()
-        for i, state in enumerate(eigenstates):
-            if spans[i] == span:
-                reports[i] = witness.report(state.vector)
-        del witness  # one compiled witness alive at a time
     records = []
     checks = []
-    for state, report, step in zip(eigenstates, reports, spans):
+    for state, step in zip(eigenstates, spans):
+        report = witnesses[step].report(state.vector)
         l, m = state.quantum_numbers
         entangled = n > 1 or (n == 1 and m != 0)
         records.append({"l": l, "m": m, **report.to_dict()})

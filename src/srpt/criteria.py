@@ -155,12 +155,13 @@ class CompiledWitness:
     when k is None, so no d x d matrix is made unless A or B is a dense
     matrix.  Their terms are held in one operator, so that a state is read
     once, and weighed into the six SRPT operators A', A'^2, B', B'^2,
-    [A,B]' and {A,B}'.  A and B must share one space.  The admissibility
+    [A,B]' and {A,B}'; `commutator` and `anticommutator` assemble the last
+    two from those weights.  A and B must share one space.  The admissibility
     residuals are taken from the compiled squares A'^2 and B'^2, and only
     when asked for, so an unchecked evaluation does no residual work.
     """
 
-    __slots__ = ("a", "b", "k", "_terms", "_squares", "_products", "_stack", "_weights")
+    __slots__ = ("a", "b", "k", "_terms", "_squares", "_stack", "_rows", "_weights")
 
     def __init__(self, a: Observable, b: Observable, k: int | None):
         require_same_space(a, b)
@@ -169,21 +170,27 @@ class CompiledWitness:
             m if k is None else m.partial_transpose(k) for m in (ta, tb, ta @ tb, tb @ ta))
         self.a, self.b, self.k, self._terms = a, b, k, (ta, tb)
         self._squares = (a_eff @ a_eff, b_eff @ b_eff)
-        self._products = (ab_eff, ba_eff)
         parts = (a_eff, self._squares[0], b_eff, self._squares[1], ab_eff, ba_eff)
         self._stack = TermOperator.concatenate(parts)
-        self._weights = np.repeat(_SRPT_ROWS, [len(op.coeffs) for op in parts],
-                                  axis=1) * self._stack.coeffs
+        self._rows = np.repeat(_SRPT_ROWS, [len(op.coeffs) for op in parts], axis=1)
+        self._weights = self._rows * self._stack.coeffs
+
+    def _matrix(self, i: int) -> np.ndarray:
+        """SRPT operator i as a d x d matrix: the terms of the stack that row i
+        weighs, in stack order, with their weights."""
+        used = self._rows[i] != 0
+        return TermOperator(self.a.space, self._weights[i, used],
+                            [f[used] for f in self._stack.factors]).matrix
 
     @property
     def commutator(self) -> np.ndarray:
         """[A,B]' as a d x d matrix."""
-        return (self._products[0] - self._products[1]).matrix
+        return self._matrix(4)
 
     @property
     def anticommutator(self) -> np.ndarray:
         """{A,B}' as a d x d matrix."""
-        return (self._products[0] + self._products[1]).matrix
+        return self._matrix(5)
 
     def _sums(self, values: np.ndarray) -> list[complex]:
         """The six operators' weighted sums of per-term values."""

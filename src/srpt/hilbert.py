@@ -131,9 +131,8 @@ class TermOperator:
     matrix (TermOperator.dense).  coeffs holds the t coefficients.  Every
     operation takes a fixed number of numpy calls per slot, never one per
     term, and none forms a d x d matrix unless the operator has one slot;
-    `matrix` assembles it when read.  Operands of a product or sum in
-    different forms are both taken to one slot first.  The arrays are not
-    copied.
+    `matrix` assembles it when read.  Operands of a product in different
+    forms are both taken to one slot first.  The arrays are not copied.
     """
 
     __slots__ = ("space", "coeffs", "factors", "_matrix")
@@ -215,17 +214,6 @@ class TermOperator:
         coeffs = (a.coeffs[:, None] * b.coeffs).reshape(-1)
         return a._like(coeffs, tuple((f[:, None] @ g).reshape(-1, *f.shape[1:])
                                      for f, g in zip(a.factors, b.factors)))
-
-    def _combined(self, other: "TermOperator", sign: float) -> "TermOperator":
-        a, b = aligned(self, other)
-        return a._like(np.concatenate([a.coeffs, sign * b.coeffs]),
-                       tuple(np.concatenate([f, g]) for f, g in zip(a.factors, b.factors)))
-
-    def __add__(self, other: "TermOperator") -> "TermOperator":
-        return self._combined(other, 1.0)
-
-    def __sub__(self, other: "TermOperator") -> "TermOperator":
-        return self._combined(other, -1.0)
 
     def adjoint(self) -> "TermOperator":
         return self._like(self.coeffs.conj(), tuple(f.conj().swapaxes(1, 2) for f in self.factors))
@@ -465,21 +453,19 @@ def moments(expect: complex, expect_sq: complex) -> tuple[float, float]:
 
 
 def _hermitian_matrix(h) -> np.ndarray:
-    """The matrix of an Observable, or a raw matrix checked to be Hermitian."""
-    if isinstance(h, Observable):
-        return h.matrix
+    """A raw matrix as a complex array, checked to be Hermitian."""
     mat = np.asarray(h, dtype=complex)
     _require_hermitian(mat, "matrix")
     return mat
 
 
 def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a Hermitian matrix or Observable."""
+    """Ascending eigenvalues and eigenvectors of a raw Hermitian matrix."""
     return np.linalg.eigh(_hermitian_matrix(h))
 
 
 def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix or Observable."""
+    """Smallest eigenvalue of a raw Hermitian matrix."""
     return _lowest_eigenvalue(_hermitian_matrix(h))
 
 

@@ -248,39 +248,27 @@ def _coherent_coeffs(alpha: float, truncation: int) -> np.ndarray:
     return coeffs
 
 
-def _poisson_tail(mean: float, truncation: int) -> float:
-    """Photon-number weight a coherent state loses above the truncation."""
-    if mean == 0.0:
-        return 0.0
-    # forward sum from the first discarded level; terms decay fast here
-    log_term = -mean + truncation * math.log(mean) - math.lgamma(truncation + 1)
-    term = math.exp(log_term)
-    total = 0.0
-    k = truncation
-    while term > 1e-40 and k < truncation + 400:
-        total += term
-        k += 1
-        term *= mean / k
-    return total
-
-
 def cat_state(alpha: float, beta: float, truncation: int) -> StateVector:
     """(|alpha, beta> + |-alpha, -beta>) / N on two truncated modes.
 
     The vector is built from truncated coherent-state series and
     renormalized; the analytic normalization is used as a cross-check only.
+    Each coherent state must keep all but CAT_TAIL_TOL of its weight: the
+    discarded weight is 1 - sum_k |c_k|^2 over the levels kept.
     """
     alpha, beta = float(alpha), float(beta)
     truncation = int(truncation)
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    for amp in (alpha, beta):
-        if _poisson_tail(amp * amp, truncation) >= CAT_TAIL_TOL:
+    heads = [_coherent_coeffs(amp, truncation) for amp in (alpha, beta)]
+    for amp, coeffs in zip((alpha, beta), heads):
+        discarded = max(0.0, 1.0 - math.fsum((np.abs(coeffs) ** 2).tolist()))
+        if discarded >= CAT_TAIL_TOL:
             raise ValueError(
                 f"truncation {truncation} insufficient for amplitude {amp}: "
-                f"discarded weight {_poisson_tail(amp * amp, truncation):.2e}"
+                f"discarded weight {discarded:.2e}"
             )
-    plus = np.kron(_coherent_coeffs(alpha, truncation), _coherent_coeffs(beta, truncation))
+    plus = np.kron(*heads)
     minus = np.kron(_coherent_coeffs(-alpha, truncation), _coherent_coeffs(-beta, truncation))
     vec = plus + minus
     norm = float(np.linalg.norm(vec))

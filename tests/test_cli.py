@@ -107,6 +107,14 @@ def test_run_rejects_a_parameter_that_is_not_finite(case, key, value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alpha", ["14", "25", "1e160"])
+def test_run_cat_refuses_an_amplitude_the_truncation_cannot_hold(alpha, capsys):
+    assert main(["run", "cat", "--param", f"alpha={alpha}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: truncation 32 insufficient for amplitude")
+    assert captured.out == ""
+
+
 def _counting(counts, key, fn):
     def counted(*args, **kwargs):
         counts[key] += 1

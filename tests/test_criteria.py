@@ -34,6 +34,7 @@ from srpt.witnesses import (
     prop1_pair,
     prop2_observable,
     prop3_triple,
+    werner_bipartite_pair,
     werner_multipartite_pair,
 )
 
@@ -519,6 +520,38 @@ def test_projector_flip_terms_match_the_dense_report(seed, setting, pure, k):
     state = (random_pure(dims, seed) if pure
              else DensityMatrix(HilbertSpace(dims), rand_density(rng, math.prod(dims))))
     assert_terms_match_dense(state, pair, k)
+
+
+def assert_commutators_are_transposed_dense_products(a, b):
+    """At every k, and at k=None, the compiled [A,B]' and {A,B}' equal the
+    partial transposes of AB - BA and AB + BA formed from the dense matrices."""
+    ma, mb = a.matrix, b.matrix
+    tol = 1e-12 * np.linalg.norm(ma) * np.linalg.norm(mb)
+    for k in (None, *range(a.space.num_subsystems)):
+        witness = CompiledWitness(a, b, k)
+        for got, sign in ((witness.commutator, -1.0), (witness.anticommutator, 1.0)):
+            want = ma @ mb + sign * (mb @ ma)
+            if k is not None:
+                want = partial_transpose_matrix(want, a.space.dims, k)
+            assert np.max(np.abs(got - want)) <= tol, (k, sign)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: werner_bipartite_pair(0.4),
+    lambda: werner_multipartite_pair(3),
+    lambda: prop3_triple(2),
+    lambda: oscillator3d_pair(3, 1),
+    lambda: cat_quadratures(0.7, -1.3, 0.4, 1.1, 5),
+], ids=["werner-bipartite", "werner-multipartite-3", "prop3", "osc3d-3-1", "cat-quadratures-5"])
+def test_commutators_of_built_in_pairs_are_transposed_dense_products(pair):
+    assert_commutators_are_transposed_dense_products(*pair())
+
+
+@given(st.lists(st.floats(-3.0, 3.0), min_size=26, max_size=26))
+def test_commutators_of_prop2_pairs_are_transposed_dense_products(theta):
+    a = prop2_observable(Prop2Params.from_array(theta[:13]))
+    b = prop2_observable(Prop2Params.from_array(theta[13:]))
+    assert_commutators_are_transposed_dense_products(a, b)
 
 
 def test_duan_reads_a_state_vector_without_kron_or_outer_products(monkeypatch):

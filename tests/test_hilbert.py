@@ -276,7 +276,6 @@ def test_term_operations_match_the_dense_matrices(seed, dims, t):
     tol = 1e-12 * np.linalg.norm(m_a) * np.linalg.norm(m_b)
     assert np.allclose(a.matrix, m_a, rtol=0, atol=1e-13 * np.linalg.norm(m_a))
     assert np.max(np.abs((a @ b).matrix - m_a @ m_b)) <= tol
-    assert np.max(np.abs((a - b).matrix - (m_a - m_b))) <= tol
     # a one-slot operand takes the other to one slot too
     assert np.max(np.abs((TermOperator.dense(a.space, m_a) @ b).matrix - m_a @ m_b)) <= tol
     for k in range(len(dims)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from srpt import criteria, search
 from srpt.criteria import AdmissibilityError, is_admissible, ppt_min_eigenvalue, srpt_evaluate
@@ -326,27 +327,67 @@ def _two_qubit_state(kind, seed):
     return random_separable((2, 2), 1 + seed % 4, seed)
 
 
-@given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
-       st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
-def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
-    # entries up to 6 give vector norms up to 10.4 and |eta| up to 6, so clipping is covered
+def _prop2_draw(seed, zero_share=0.5):
+    """Draw seed of a seeded sweep: (kind, seed, theta), with 26 entries of
+    theta uniform in [-6, 6] and about zero_share of them set to 0."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-6.0, 6.0, 26)
+    theta[rng.random(26) < zero_share] = 0.0
+    return ["pure", "werner", "separable"][seed % 3], seed, theta.tolist()
+
+
+def _prop2_reports(kind, seed, theta):
+    """The compiled report of a prop2 point, the checked path's report and the
+    clipped pair (A, B)."""
     rho = _two_qubit_state(kind, seed)
     theta = np.array(theta)
     got = search._compile_prop2(rho)(theta)
     a = prop2_observable(search._clipped_prop2(theta[:13]))
     b = prop2_observable(search._clipped_prop2(theta[13:]))
-    want = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
-    assert abs(got.slack - want.slack) <= 1e-12 * max(want.lhs, want.rhs)
+    return got, srpt_evaluate(rho, a, b, 0, check_admissibility=False), a, b
 
 
+def assert_prop2_fields_agree(got, want, a, b, fields):
+    """Each field of got equals want's up to rounding: 1e-12 of max(lhs, rhs)
+    plus 16 eps ||A||^2 ||B||^2 in spectral norms.  The second term is the
+    rounding that a product of variances or a squared expectation of
+    observables this large carries where its exact value is 0, and where the
+    relative term alone would demand bit-equal sums; seeded sweeps of 40000
+    draws show at most 4 eps ||A||^2 ||B||^2."""
+    norms = np.linalg.norm(a.matrix, 2) ** 2 * np.linalg.norm(b.matrix, 2) ** 2
+    tol = 1e-12 * max(want.lhs, want.rhs) + 16 * np.finfo(float).eps * norms
+    for field in fields:
+        assert abs(getattr(got, field) - getattr(want, field)) <= tol, (
+            field, getattr(got, field), getattr(want, field), tol)
+
+
+# sweep draws whose exact anticomm_term or lhs is 0 (30, 1045, 1573), whose
+# lhs is a variance product that cancels to 2e-12 of itself (2248), or whose
+# lhs of 2.4e-15 is read as half of it (2535): each failed the relative bound
+_EDGE_DRAWS = [_prop2_draw(seed) for seed in (30, 1045, 1573, 2248, 2535)]
+
+
+def _with_edge_draws(test):
+    for draw in _EDGE_DRAWS:
+        test = example(*draw)(test)
+    return test
+
+
+@_with_edge_draws
+@given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
+       st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
+def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
+    # entries up to 6 give vector norms up to 10.4 and |eta| up to 6, so clipping is covered
+    assert_prop2_fields_agree(*_prop2_reports(kind, seed, theta), ["slack"])
+
+
+@_with_edge_draws
 @given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
        st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
 def test_compiled_prop2_fields_match_srpt_evaluate(kind, seed, theta):
     """Every term of the report, not only the slack, agrees with the checked
     path, and the commutator expectation of the quadratic forms is purely
     imaginary, so the real-part guard of _build_report can never fire."""
-    rho = _two_qubit_state(kind, seed)
-    theta = np.array(theta)
     seen = []
 
     def recording_build_report(expectations):
@@ -354,15 +395,27 @@ def test_compiled_prop2_fields_match_srpt_evaluate(kind, seed, theta):
         return criteria._build_report(expectations)
 
     with mock.patch.object(search, "_build_report", recording_build_report):
-        got = search._compile_prop2(rho)(theta)
-    a = prop2_observable(search._clipped_prop2(theta[:13]))
-    b = prop2_observable(search._clipped_prop2(theta[13:]))
-    want = srpt_evaluate(rho, a, b, 0, check_admissibility=False)
-    scale = 1e-12 * max(want.lhs, want.rhs)
-    for field in ("lhs", "comm_term", "anticomm_term", "rhs"):
-        assert abs(getattr(got, field) - getattr(want, field)) <= scale, field
+        reports = _prop2_reports(kind, seed, theta)
+    assert_prop2_fields_agree(*reports, ["lhs", "comm_term", "anticomm_term", "rhs"])
     (comm_expect,) = [e[4] for e in seen]
     assert comm_expect.real == 0.0
+
+
+@pytest.mark.parametrize("field", ["lhs", "comm_term", "anticomm_term", "rhs", "slack"])
+def test_prop2_comparison_catches_a_relative_error_of_1e_9_in_one_field(field):
+    """A compiled report off by 1e-9 of one field fails the comparison, on
+    draws whose every field is far above the bound's rounding term."""
+
+    def skewed_build_report(expectations):
+        report = criteria._build_report(expectations)
+        return dataclasses.replace(report, **{field: getattr(report, field) * (1 + 1e-9)})
+
+    for seed in (3000, 3001, 3002):
+        draw = _prop2_draw(seed, zero_share=0.0)
+        assert_prop2_fields_agree(*_prop2_reports(*draw), [field])
+        with mock.patch.object(search, "_build_report", skewed_build_report):
+            with pytest.raises(AssertionError):
+                assert_prop2_fields_agree(*_prop2_reports(*draw), [field])
 
 
 def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeypatch):

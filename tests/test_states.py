@@ -298,6 +298,24 @@ def test_cat_truncation_rule_enforced():
         cat_state(2.0, 2.0, 16)
 
 
+@pytest.mark.parametrize("alpha", [14.0, 25.0, 1e160])
+def test_cat_truncation_rule_refuses_amplitudes_far_above_the_truncation(alpha):
+    # the mean photon number alpha^2 lies far above the 32 levels kept, so
+    # almost all of the weight is discarded
+    with pytest.raises(ValueError, match=r"insufficient .* discarded weight 1\.00e\+00"):
+        cat_state(alpha, 1.0, 32)
+    with pytest.raises(ValueError, match="truncation 32 insufficient"):
+        cat_state(1.0, -alpha, 32)
+
+
+def test_cat_truncation_rule_reads_the_weight_of_the_levels_kept():
+    # alpha = 1.2 keeps all but 4.2e-12 of its weight in 16 levels, alpha = 1.6
+    # loses 1.48e-8 there
+    assert cat_state(1.2, 1.2, 16).space.dims == (16, 16)
+    with pytest.raises(ValueError, match="discarded weight 1.48e-08"):
+        cat_state(1.0, 1.6, 16)
+
+
 def test_cat_reported_quantities_truncation_converged():
     alpha = beta = 1.0
     reports = {}
