@@ -263,9 +263,11 @@ def srpt_evaluate(
     already checked (a scan's certification) and to demonstrate what goes
     wrong with unsuitable observables; with check_admissibility=False a
     "violation" on a separable state is possible and meaningless.  The prop1
-    search makes one checked evaluation of its one pair; the prop2 search
-    scores its points without srpt_evaluate and certifies its best point by a
-    checked one.
+    search makes one checked evaluation of its one pair.  The prop2 search,
+    block-coordinate ascent over unit-norm Pauli tables with eta = 0 (four
+    9 x 9 eigenproblems a sweep, until a sweep's relative rise is small or a
+    sweep cap; no Nelder-Mead), scores its points without srpt_evaluate and
+    certifies its best point by a checked one.
     """
     require_same_space(state, a)  # before the compile; the witness checks B against A
     witness = CompiledWitness(a, b, k)

@@ -4,18 +4,21 @@ Detection thresholds of Werner families x |psi><psi| + (1-x) I/d are
 located by bisection on a change of verdict, guarded by a coarse pre-scan
 that verifies the crossing is unique.  The verdicts come from `criteria`
 (SRPT) and from the PPT minimum eigenvalue against PSD_TOL.  Witness
-optimization is derivative-free (Nelder-Mead with uniform random restarts)
-over parameterizations that are admissible by construction.  The Nelder-Mead
-of `_nelder_mead` is a step-for-step port of scipy's `minimize(method=
-"Nelder-Mead")` for the one configuration used, so the package does not
-import scipy.
+optimization runs over parameterizations that are admissible by
+construction.  The prop2 search is exact block-coordinate ascent over Pauli
+tables of unit norm with eta = 0, which does not change the slack: the slack
+is a quadratic form in each observable's table, so each block of a sweep is
+a 9 x 9 symmetric eigenproblem and the slack never decreases.  A start stops
+when a sweep raises the slack by at most PROP2_RISE_TOL of itself, or after
+PROP2_MAX_SWEEPS sweeps.  There is no Nelder-Mead search, and the package
+does not import scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,10 +50,8 @@ from .witnesses import (
 )
 
 PRESCAN_POINTS = 21
-NM_MAX_ITER = 500
-NM_XATOL = 1e-8
-NM_FATOL = 1e-12
-PROP2_NORM_BOUND = 4.0
+PROP2_RISE_TOL = 1e-6
+PROP2_MAX_SWEEPS = 50
 WERNER_AGREEMENT_TOL = 1e-4
 
 
@@ -208,31 +209,14 @@ def ppt_threshold_scan(psi: StateVector, k: int = 0, tol: float = 1e-6) -> Thres
 # --- witness optimization ------------------------------------------------------
 
 
-def _clip_prop2(theta: np.ndarray) -> np.ndarray:
-    """Compactify the search space: theta as rows of 13 Prop2Params values,
-    each vector scaled down to norm <= 4 and eta clipped to [-4, 4]."""
-    v = np.array(theta, dtype=float).reshape(-1, 13)
-    vectors = v[:, :12].reshape(-1, 4, 3)
-    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=2, keepdims=True))
-    v[:, :12] = (vectors * (PROP2_NORM_BOUND / np.maximum(norms, PROP2_NORM_BOUND))).reshape(-1, 12)
-    v[:, 12] = np.minimum(np.maximum(v[:, 12], -PROP2_NORM_BOUND), PROP2_NORM_BOUND)
-    return v
-
-
-def _clipped_prop2(values: np.ndarray) -> Prop2Params:
-    """The Prop2Params of 13 search values, clipped as the search scores them."""
-    return Prop2Params.from_array(_clip_prop2(values)[0])
-
-
-def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyReport]:
-    """The SRPT report at subsystem 0, in rho, of the prop2 pair with the 26
-    clipped parameters theta, as a function of theta.
+class _Prop2Forms(NamedTuple):
+    """The SRPT report at subsystem 0, in one two-qubit state rho, of the prop2
+    pair with Pauli-coefficient tables a and b, as forms in the tables.
 
     With P_m = sigma_mu x sigma_nu (m = 4 mu + nu), A = sum_m a_m P_m and
-    B = sum_m b_m P_m for the real Pauli-coefficient tables a and b, and
-    A^G = sum_m s_m a_m P_m with s = _PT_SIGNS repeated over nu.  As
-    tr(rho X^G) = tr(rho^G X), every expectation of the report is a linear or
-    bilinear form in a and b whose matrix depends on rho alone:
+    B = sum_m b_m P_m, and A^G = sum_m s_m a_m P_m with s = _PT_SIGNS repeated
+    over nu.  As tr(rho X^G) = tr(rho^G X), every expectation of the report
+    is a linear or bilinear form in a and b whose matrix depends on rho alone:
 
       <A^G>         = g.a        g_m = tr(rho^G P_m)
       <(A^G)^2>     = a.K.a      K   = diag(s) Re(R + R^T)/2 diag(s)
@@ -245,10 +229,38 @@ def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyRepo
     G^T = conj(G): the symmetric part of R is real, (R + R^T)/2 = Re(R), and
     G - G^T = 2i Im(G) is purely imaginary, as is the commutator's
     expectation, whose real part is therefore set to exactly 0.
-    The block [g | K | C | S], 16 x 49, is formed once; a point then costs
-    one clip, one table fill and one (2 x 16) @ (16 x 49) product, and forms
-    no operator.  The report is the one srpt_evaluate gives, up to rounding.
+    block is [g | K | C | S], 16 x 49, and centred is K - gg^T, the form of
+    the variance.
     """
+
+    block: np.ndarray
+    centred: np.ndarray
+
+    def report(self, tables: np.ndarray) -> UncertaintyReport:
+        """The report of the pair whose tables are the rows of tables, shape
+        (2, 16), from one (2 x 16) @ (16 x 49) product and no operator.  It is
+        the report srpt_evaluate gives, up to rounding."""
+        y = tables @ self.block
+        e_a, e_b = y[:, 0].tolist()
+        e_a_sq, e_b_sq = np.einsum("ij,ij->i", y[:, 1:17], tables).tolist()
+        comm, anticomm = (y[0, 17:].reshape(2, 16) @ tables[1]).tolist()
+        return _build_report((e_a, e_a_sq, e_b, e_b_sq, complex(0.0, comm), anticomm))
+
+    def quadratic(self, other: np.ndarray) -> np.ndarray:
+        """Q with slack = t.Q.t for the table t of either observable, the
+        other's table fixed at other: Q = cc^T/4 + ww^T/4 - Var(other)(K - gg^T)
+        with c = C.other and w = S.other - 2<other>g.  C is antisymmetric, so
+        the sign of c, the one place where A and B differ, drops out.  The
+        identity entry of t is a null direction of Q, so A -> A + eta 1 leaves
+        the slack unchanged."""
+        y = other @ self.block
+        mean = y[0]
+        v = np.stack([y[17:33], y[33:] - 2.0 * mean * self.block[:, 0]])
+        return 0.25 * (v.T @ v) - (other @ y[1:17] - mean * mean) * self.centred
+
+
+def _compile_prop2(rho: DensityMatrix) -> _Prop2Forms:
+    """The forms of the prop2 report in rho, formed once per state."""
     basis = _PAULI_BASIS.reshape(16, 4, 4)
     pairs = np.einsum("mij,njk->mnik", basis, basis).reshape(256, 16)  # P_m P_n
     rho_t = rho.matrix.T.reshape(16)  # tr(rho X) = rho_t @ X.reshape(16)
@@ -259,106 +271,75 @@ def _compile_prop2(rho: DensityMatrix) -> Callable[[np.ndarray], UncertaintyRepo
     block = np.column_stack([(_PAULI_BASIS @ rho_g_t).real,
                              signs[:, None] * (0.5 * (r + r.T)).real * signs,
                              (g - g.T).imag, (g + g.T).real])
-
-    def report(theta: np.ndarray) -> UncertaintyReport:
-        tables = _prop2_tables(_clip_prop2(theta)).reshape(2, 16)
-        y = tables @ block
-        e_a, e_b = y[:, 0].tolist()
-        e_a_sq, e_b_sq = np.einsum("ij,ij->i", y[:, 1:17], tables).tolist()
-        comm, anticomm = (y[0, 17:].reshape(2, 16) @ tables[1]).tolist()
-        return _build_report((e_a, e_a_sq, e_b, e_b_sq, complex(0.0, comm), anticomm))
-
-    return report
+    return _Prop2Forms(block, block[:, 1:17] - np.outer(block[:, 0], block[:, 0]))
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray) -> tuple[np.ndarray, float]:
-    """(best vertex, least value) of the Nelder-Mead simplex search for a
-    minimum of f from x0 (Nelder & Mead, Comput. J. 7, 308 (1965)).
+def _prop2_block(q: np.ndarray, row: np.ndarray, free: int) -> tuple[np.ndarray, float]:
+    """The Prop2Params array of one observable with the largest t.Q.t / |t|^2
+    over its table t at fixed direction of b (free = 0) or of a (free = 1),
+    and that largest value.  With the fixed vector f at unit length and
+    eta = 0, which Q does not see, t is an isometric linear image of the free
+    vector, c and d, so the maximum is the top eigenpair of a 9 x 9 symmetric
+    matrix, and the new table has |t| = 1.  The table of row is one of those
+    t, so its value is never above the result's."""
+    fixed = row[:12].reshape(4, 3)[1 - free]
+    norm = math.sqrt(fixed @ fixed)
+    eye = np.eye(3)
+    fixed = fixed / norm if norm > 0.0 else eye[0]  # a zero block is f 0^T for any f
+    # t[mu, nu] from the coordinates x (free vector), c = t[0, 1:] and d = t[1:, 0]
+    basis = np.zeros((4, 4, 9))
+    basis[0, 1:, 3:6] = basis[1:, 0, 6:] = eye
+    # t[1 + i, 1 + j] = x_i f_j (a free) or f_i x_j (b free)
+    basis[1:, 1:, :3] = eye[:, None] * fixed[:, None] if free == 0 else fixed[:, None, None] * eye
+    basis = basis.reshape(16, 9)
+    values, eigenvectors = np.linalg.eigh(basis.T @ q @ basis)
+    out = np.zeros(13)
+    vectors = out[:12].reshape(4, 3)  # a view: a, b, c, d
+    vectors[1 - free] = fixed
+    vectors[[free, 2, 3]] = eigenvectors[:, -1].reshape(3, 3)
+    return out, float(values[-1])
 
-    A step-for-step port of scipy's `_minimize_neldermead` without bounds or
-    adaptive coefficients, with maxiter=NM_MAX_ITER, xatol=NM_XATOL,
-    fatol=NM_FATOL and no limit on evaluations: it makes the same calls of f
-    and returns the same bits as scipy's x and fun.  f must not modify its
-    argument.
-    """
-    n = len(x0)
-    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-    steps = np.arange(n)
-    sim[steps + 1, steps] = np.where(sim[0] != 0, 1.05 * sim[0], 0.00025)
 
-    def by_value(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    # scipy sorts twice; the second argsort may reorder the ties of the first
-    sim, fsim = by_value(*by_value(sim, np.array([f(x) for x in sim], dtype=float)))
-    iterations = 1
-    while iterations < NM_MAX_ITER:
-        if (np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL
-                and np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]  # reflect
-        fxr = f(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]  # expand
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
-            fxc = f(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
-            fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = by_value(sim, fsim)
-    return sim[0], np.min(fsim)
+def _prop2_sweep(forms: _Prop2Forms, params: np.ndarray) -> tuple[np.ndarray, float]:
+    """One sweep of block-coordinate ascent on the Prop2Params arrays of a pair,
+    shape (2, 13): a, then b, of A against the form of B's table, then of B
+    against A's.  Returns the new arrays, whose tables have unit norm and
+    eta = 0, and their slack."""
+    params = params.copy()
+    for i in (0, 1):
+        q = forms.quadratic(_prop2_tables(params)[1 - i].reshape(16))
+        for free in (0, 1):
+            params[i], value = _prop2_block(q, params[i], free)
+    return params, value
 
 
 def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
-    """Nelder-Mead restarts on the compiled report; the best point is then
-    evaluated by a checked srpt_evaluate of its prop2_observable pair, which
-    must give the same verdict."""
+    """Block-coordinate ascent from seeded starts on the forms of rho, compiled
+    once; the best point is then evaluated by a checked srpt_evaluate of its
+    prop2_observable pair, which must give the same verdict."""
     if rho.space.dims != (2, 2):
         raise ValueError(f"the prop2 family needs a (2, 2) space, got {rho.space.dims}")
     if restarts < 1:
         raise ValueError(f"the prop2 search needs restarts >= 1, got {restarts!r}")
-    compiled = _compile_prop2(rho)
-
-    def negative_slack(theta: np.ndarray) -> float:
-        return -compiled(theta).slack
-
+    forms = _compile_prop2(rho)
     rng = np.random.default_rng(seed)
-    best_value = math.inf
-    best_theta = None
+    best_value, best = -math.inf, None
     for _ in range(restarts):
-        theta0 = rng.uniform(-2.0, 2.0, size=26)
-        theta, value = _nelder_mead(negative_slack, theta0)
-        if value < best_value:
-            best_value = value
-            best_theta = theta
+        params = rng.uniform(-2.0, 2.0, size=26).reshape(2, 13)
+        value = -math.inf
+        for _ in range(PROP2_MAX_SWEEPS):
+            previous = value
+            params, value = _prop2_sweep(forms, params)
+            if value - previous <= PROP2_RISE_TOL * abs(value):
+                break
+        if value > best_value:
+            best_value, best = value, params
 
-    a = prop2_observable(_clipped_prop2(best_theta[:13]))
-    b = prop2_observable(_clipped_prop2(best_theta[13:]))
+    a, b = (prop2_observable(Prop2Params.from_array(p)) for p in best)
     report = srpt_evaluate(rho, a, b, 0)
-    if report.violated != compiled(best_theta).violated:
+    if report.violated != forms.report(_prop2_tables(best).reshape(2, 16)).violated:
         raise ArithmeticError("compiled and checked prop2 verdicts differ at the best point")
-    return SearchResult(np.array(best_theta), report, restarts)
+    return SearchResult(best.reshape(26), report, restarts)
 
 
 def _pure_vector(rho: DensityMatrix) -> StateVector:
@@ -400,10 +381,17 @@ def maximize_violation(
     """Maximize SRPT slack over an admissible-by-construction witness family.
 
     family "prop2": two independent admissible two-qubit observables on a
-    (2, 2) space, optimized with Nelder-Mead restarts from seed.  family
-    "prop1": the projector/flip pair of a pure bipartite state aligned with its
-    two largest Schmidt coefficients, which Proposition 1 makes the best pair
-    of the family; one checked evaluation, and restarts and seed are unused.
+    (2, 2) space, by block-coordinate ascent from restarts seeded uniform
+    starts; no Nelder-Mead is run.  Each sweep solves four 9 x 9 symmetric
+    eigenproblems, for (a, c, d) and (b, c, d) of A, then of B, so the slack
+    never decreases; a start stops when a sweep raises it by at most
+    PROP2_RISE_TOL of itself, or after PROP2_MAX_SWEEPS sweeps.  best_params
+    holds the best pair's 26 Prop2Params values, with Pauli tables of unit
+    norm and eta = 0, which does not change the slack; best_report is its
+    checked srpt_evaluate.  family "prop1": the projector/flip pair of a pure
+    bipartite state aligned with its two largest Schmidt coefficients, which
+    Proposition 1 makes the best pair of the family; one checked evaluation,
+    and restarts and seed are unused.
     rho must be a DensityMatrix and restarts an int (not a bool), whatever
     the family; raises TypeError otherwise.
     """

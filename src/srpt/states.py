@@ -241,11 +241,19 @@ def eigenstate_table_csv(eigenstates: list[OscillatorEigenstate]) -> str:
 
 
 def _coherent_coeffs(alpha: float, truncation: int) -> np.ndarray:
+    """<k|alpha> = exp(-alpha^2/2) alpha^k / sqrt(k!) for k < truncation.  The
+    one at k = m = min(floor(alpha^2), truncation - 1), the largest kept, is
+    taken in log space and the recursion runs outward from it, so a
+    coefficient underflows only if its own value does."""
+    amp = abs(alpha)
+    m = int(min(amp * amp, truncation - 1))
+    k = np.arange(1, truncation)
     coeffs = np.zeros(truncation, dtype=complex)
-    coeffs[0] = math.exp(-0.5 * alpha * alpha)
-    for k in range(1, truncation):
-        coeffs[k] = coeffs[k - 1] * alpha / math.sqrt(k)
-    return coeffs
+    coeffs[m] = math.exp((m * math.log(amp) if m else 0.0) - 0.5 * math.lgamma(m + 1)
+                         - 0.5 * amp * amp)
+    coeffs[m + 1:] = coeffs[m] * np.cumprod(amp / np.sqrt(k[m:]))
+    coeffs[:m] = coeffs[m] * np.cumprod(np.sqrt(k[:m][::-1]) / amp)[::-1]
+    return coeffs * np.sign(alpha) ** np.arange(truncation)
 
 
 def cat_state(alpha: float, beta: float, truncation: int) -> StateVector:
@@ -268,16 +276,16 @@ def cat_state(alpha: float, beta: float, truncation: int) -> StateVector:
                 f"truncation {truncation} insufficient for amplitude {amp}: "
                 f"discarded weight {discarded:.2e}"
             )
-    plus = np.kron(*heads)
-    minus = np.kron(_coherent_coeffs(-alpha, truncation), _coherent_coeffs(-beta, truncation))
-    vec = plus + minus
+    vec = np.kron(*heads)
+    vec += np.kron(_coherent_coeffs(-alpha, truncation), _coherent_coeffs(-beta, truncation))
     norm = float(np.linalg.norm(vec))
     analytic = math.sqrt(2.0 + 2.0 * math.exp(-2.0 * alpha * alpha - 2.0 * beta * beta))
     if abs(norm - analytic) > 1e-8:
         raise ArithmeticError(
             f"truncated norm {norm} disagrees with analytic normalization {analytic}"
         )
-    return StateVector(HilbertSpace((truncation, truncation)), vec / norm)
+    vec /= norm
+    return StateVector(HilbertSpace((truncation, truncation)), vec)
 
 
 def multiphoton_state(alpha: complex, beta: complex, gamma: complex) -> StateVector:

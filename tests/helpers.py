@@ -1,10 +1,11 @@
 """Small constructors shared by the test modules."""
 
+import math
 from functools import reduce
 
 import numpy as np
 
-from srpt.hilbert import HilbertSpace, Observable, StateVector, basis_index
+from srpt.hilbert import DensityMatrix, HilbertSpace, Observable, StateVector, basis_index
 
 
 def basis_state(space: HilbertSpace, levels) -> StateVector:
@@ -31,3 +32,13 @@ def assert_same_report(got: dict, want: dict, rel: float = 1e-12) -> None:
 def kron_observable(*mats) -> Observable:
     """The observable m1 (x) m2 (x) ... of square matrices, one per subsystem."""
     return Observable(HilbertSpace(tuple(len(m) for m in mats)), reduce(np.kron, mats))
+
+
+def horodecki_3x3(a: float) -> DensityMatrix:
+    """P. Horodecki's 3 x 3 state (Phys. Lett. A 232, 333 (1997)), entangled
+    and PPT for 0 < a < 1, in the basis |00>, |01>, ..., |22>."""
+    rho = a * np.eye(9)
+    rho[np.ix_([0, 4, 8], [0, 4, 8])] = a
+    b = math.sqrt(1.0 - a * a) / 2.0
+    rho[np.ix_([6, 8], [6, 8])] = [[(1.0 + a) / 2.0, b], [b, (1.0 + a) / 2.0]]
+    return DensityMatrix(HilbertSpace((3, 3)), rho / (8.0 * a + 1.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -8,11 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from srpt import criteria, search
 from srpt.criteria import AdmissibilityError, is_admissible, ppt_min_eigenvalue, srpt_evaluate
-from srpt.hilbert import PSD_TOL, HilbertSpace, density_from_pure
+from srpt.hilbert import PSD_TOL, DensityMatrix, HilbertSpace, density_from_pure
 from srpt.search import (
     NoCrossingError,
     _bisect_crossing,
@@ -23,13 +24,15 @@ from srpt.search import (
 )
 from srpt.states import ghz, random_pure, random_separable, schmidt_state, werner
 from srpt.witnesses import (
+    Prop2Params,
+    _prop2_tables,
     prop1_pair,
     prop2_observable,
     werner_bipartite_pair,
     werner_multipartite_pair,
 )
 
-from helpers import basis_state
+from helpers import basis_state, horodecki_3x3
 
 BELL = schmidt_state((1.0, 1.0), (2, 2))
 TILTED = schmidt_state((0.8, 0.6), (2, 2))
@@ -285,14 +288,18 @@ def test_maximize_rejects_unknown_family_and_space():
 
 
 def test_maximize_prop2_best_candidate_is_admissible():
-    from srpt.witnesses import prop2_observable
-    from srpt.search import _clipped_prop2
-
-    result = maximize_violation(density_from_pure(BELL), "prop2", restarts=4, seed=11)
-    a = prop2_observable(_clipped_prop2(result.best_params[:13]))
-    b = prop2_observable(_clipped_prop2(result.best_params[13:]))
+    """best_params are the Prop2Params of the reported pair, with unit-norm
+    Pauli tables and eta = 0."""
+    rho = density_from_pure(BELL)
+    result = maximize_violation(rho, "prop2", restarts=4, seed=11)
+    params = result.best_params.reshape(2, 13)
+    a, b = (prop2_observable(Prop2Params.from_array(p)) for p in params)
     assert is_admissible(a).admissible
     assert is_admissible(b).admissible
+    assert list(params[:, 12]) == [0.0, 0.0]
+    assert np.allclose(np.linalg.norm(_prop2_tables(params).reshape(2, 16), axis=1), 1.0,
+                       rtol=0, atol=1e-12)
+    assert result.best_report == srpt_evaluate(rho, a, b, 0)
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
@@ -337,13 +344,12 @@ def _prop2_draw(seed, zero_share=0.5):
 
 
 def _prop2_reports(kind, seed, theta):
-    """The compiled report of a prop2 point, the checked path's report and the
-    clipped pair (A, B)."""
+    """The report of the compiled forms at a prop2 point theta, the 26
+    Prop2Params values of (A, B), the checked path's report and the pair."""
     rho = _two_qubit_state(kind, seed)
-    theta = np.array(theta)
-    got = search._compile_prop2(rho)(theta)
-    a = prop2_observable(search._clipped_prop2(theta[:13]))
-    b = prop2_observable(search._clipped_prop2(theta[13:]))
+    params = np.array(theta).reshape(2, 13)
+    got = search._compile_prop2(rho).report(_prop2_tables(params).reshape(2, 16))
+    a, b = (prop2_observable(Prop2Params.from_array(p)) for p in params)
     return got, srpt_evaluate(rho, a, b, 0, check_admissibility=False), a, b
 
 
@@ -362,9 +368,9 @@ def assert_prop2_fields_agree(got, want, a, b, fields):
 
 
 # sweep draws whose exact anticomm_term or lhs is 0 (30, 1045, 1573), whose
-# lhs is a variance product that cancels to 2e-12 of itself (2248), or whose
-# lhs of 2.4e-15 is read as half of it (2535): each failed the relative bound
-_EDGE_DRAWS = [_prop2_draw(seed) for seed in (30, 1045, 1573, 2248, 2535)]
+# lhs is a variance product that cancels to 2.3e-12 of itself (3304), or whose
+# lhs of 1.1e-14 is read as half of it (2535): each failed the relative bound
+_EDGE_DRAWS = [_prop2_draw(seed) for seed in (30, 1045, 1573, 3304, 2535)]
 
 
 def _with_edge_draws(test):
@@ -377,7 +383,7 @@ def _with_edge_draws(test):
 @given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
        st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26))
 def test_compiled_prop2_report_matches_srpt_evaluate(kind, seed, theta):
-    # entries up to 6 give vector norms up to 10.4 and |eta| up to 6, so clipping is covered
+    # entries up to 6 give vector norms up to 10.4 and |eta| up to 6
     assert_prop2_fields_agree(*_prop2_reports(kind, seed, theta), ["slack"])
 
 
@@ -419,87 +425,122 @@ def test_prop2_comparison_catches_a_relative_error_of_1e_9_in_one_field(field):
 
 
 def test_prop2_search_compiles_one_witness_whatever_the_evaluation_count(monkeypatch):
-    """The Nelder-Mead points are scored by the compiled report; the only
+    """The sweeps are scored by the forms, compiled once per search; the only
     CompiledWitness is the checked evaluation of the best point."""
-    compile_pair, compile_report = criteria.CompiledWitness.__init__, search._compile_prop2
-    counts = {"compiled": 0}
-    evaluations = []
+    compile_pair, compile_forms, sweep = (
+        criteria.CompiledWitness.__init__, search._compile_prop2, search._prop2_sweep)
+    counts = {"compiled": 0, "forms": 0, "sweeps": 0}
 
     def counting_compile(self, *args):
         counts["compiled"] += 1
         compile_pair(self, *args)
 
-    def counting_report(rho):
-        report = compile_report(rho)
-        evaluations.append(0)
+    def counting_forms(rho):
+        counts["forms"] += 1
+        return compile_forms(rho)
 
-        def counted(theta):
-            evaluations[-1] += 1
-            return report(theta)
-
-        return counted
+    def counting_sweep(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
 
     monkeypatch.setattr(criteria.CompiledWitness, "__init__", counting_compile)
-    monkeypatch.setattr(search, "_compile_prop2", counting_report)
+    monkeypatch.setattr(search, "_compile_prop2", counting_forms)
+    monkeypatch.setattr(search, "_prop2_sweep", counting_sweep)
     rho = werner(BELL, 0.9)
-    for max_iter in (10, 500):
-        monkeypatch.setattr(search, "NM_MAX_ITER", max_iter)
-        counts["compiled"] = 0
+    sweeps = []
+    for max_sweeps in (1, 50):
+        monkeypatch.setattr(search, "PROP2_MAX_SWEEPS", max_sweeps)
+        counts.update(compiled=0, forms=0, sweeps=0)
         maximize_violation(rho, "prop2", restarts=1, seed=5)
-        assert counts["compiled"] == 1
-    assert evaluations[0] < evaluations[1]
+        assert (counts["compiled"], counts["forms"]) == (1, 1)
+        sweeps.append(counts["sweeps"])
+    assert sweeps[0] == 1 < sweeps[1]
 
 
-def _counted(f):
-    calls = [0]
-
-    def counted(x):
-        calls[0] += 1
-        return f(x)
-
-    return counted, calls
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximize_prop2_detects_bell_werner_at_045(seed):
+    result = maximize_violation(werner(BELL, 0.45), "prop2", restarts=8, seed=seed)
+    assert result.best_report.violated
 
 
-def _prop2_objective(kind):
-    report = search._compile_prop2(_two_qubit_state(kind, 7))
-    return lambda theta: -report(theta).slack, np.random.default_rng(7).uniform(-2.0, 2.0, 26)
+@pytest.mark.parametrize("kind", ["pure", "werner", "separable"])
+def test_prop2_sweeps_never_lower_the_normalised_slack(kind):
+    """Each block is an exact Rayleigh-quotient maximum, so the slack of the
+    unit-norm tables, read from the forms' report, never falls from sweep to
+    sweep, and each sweep returns it."""
+    forms = search._compile_prop2(_two_qubit_state(kind, 11))
+    for start in range(3):
+        params = np.random.default_rng(start).uniform(-2.0, 2.0, 26).reshape(2, 13)
+        previous = -math.inf
+        for _ in range(30):
+            params, value = search._prop2_sweep(forms, params)
+            tables = _prop2_tables(params).reshape(2, 16)
+            assert np.allclose(np.linalg.norm(tables, axis=1), 1.0, rtol=0, atol=1e-12)
+            slack = forms.report(tables).slack
+            assert abs(value - slack) <= 1e-12
+            assert slack >= previous - 1e-12
+            previous = slack
 
 
-def _quadratic():
-    def f(x):
-        return float((x[0] - 1) ** 2 + 2 * (x[1] + 0.5) ** 2 + 3 * (x[2] - 0.25) ** 2 + x[0] * x[1])
+@given(st.sampled_from(["pure", "werner", "separable"]), st.integers(0, 2**31 - 1),
+       st.lists(st.floats(-6.0, 6.0), min_size=26, max_size=26), st.floats(-6.0, 6.0))
+@settings(max_examples=30)
+def test_prop2_forms_slack_is_unchanged_by_adding_the_identity(kind, seed, theta, eta):
+    """A -> A + eta 1 moves neither the report's slack nor the form of either
+    observable, whose identity entry is a null direction."""
+    forms = search._compile_prop2(_two_qubit_state(kind, seed))
+    params = np.array(theta).reshape(2, 13)
+    shifted = params.copy()
+    shifted[0, 12] += eta
+    a, b = (prop2_observable(Prop2Params.from_array(p)) for p in shifted)
+    tables, shifted_tables = (_prop2_tables(p).reshape(2, 16) for p in (params, shifted))
+    assert_prop2_fields_agree(forms.report(shifted_tables), forms.report(tables), a, b, ["slack"])
+    for other in tables:
+        q = forms.quadratic(other)
+        assert np.max(np.abs(q[0])) <= 16 * np.finfo(float).eps * np.max(np.abs(q))
 
-    return f, np.array([0.0, 1.0, -2.0])
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1 / 3])
+def test_maximize_prop2_never_violated_at_or_below_the_ppt_threshold(x):
+    for seed in range(3):
+        result = maximize_violation(werner(BELL, x), "prop2", restarts=8, seed=seed)
+        assert not result.best_report.violated
 
 
-def _plateaus():
-    # piecewise constant: ties between vertices, and contractions that fail
-    return lambda x: float(np.floor(4 * np.abs(x)).sum()), np.array([1.0, -2.0, 0.5])
+@given(st.integers(1, 4), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+@settings(max_examples=10)
+def test_maximize_prop2_never_violated_on_separable_states(terms, state_seed, seed):
+    rho = random_separable((2, 2), terms, state_seed)
+    assert not maximize_violation(rho, "prop2", restarts=2, seed=seed).best_report.violated
 
 
-@pytest.mark.parametrize("objective,stop", [
-    (lambda: _prop2_objective("pure"), "maxiter"),
-    (lambda: _prop2_objective("werner"), "maxiter"),
-    (lambda: _prop2_objective("separable"), "maxiter"),
-    (_quadratic, "tolerance"),
-    (_plateaus, "shrink"),
-], ids=["prop2-pure", "prop2-werner", "prop2-separable", "quadratic", "plateaus"])
-def test_nelder_mead_is_scipys_step_for_step(objective, stop):
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    f, x0 = objective()
-    ours, our_calls = _counted(f)
-    theirs, their_calls = _counted(f)
-    x, fun = search._nelder_mead(ours, x0)
-    res = minimize(theirs, x0, method="Nelder-Mead", options={
-        "maxiter": search.NM_MAX_ITER, "xatol": search.NM_XATOL, "fatol": search.NM_FATOL})
-    assert x.tobytes() == res.x.tobytes()
-    assert fun == res.fun
-    assert our_calls == their_calls == [res.nfev]
-    n = len(x0)
-    # without a shrink, the first simplex takes n + 1 calls and each of the nit - 1 steps 1 or 2
-    shrunk = res.nfev > n + 1 + 2 * (res.nit - 1)
-    assert (res.nit == search.NM_MAX_ITER) == (stop == "maxiter")
-    assert shrunk == (stop == "shrink")
+def _random_mixed(rank, seed):
+    """G G^dagger / tr for a 4 x rank complex Gaussian G: a mixed (2, 2) state of that rank."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix(HilbertSpace((2, 2)), rho / np.trace(rho).real)
+
+
+@given(st.integers(1, 4), st.integers(0, 2**31 - 1))
+@settings(max_examples=15)
+def test_prop2_violation_implies_npt(rank, seed):
+    """SRPT is contained in NPT: a violated prop2 search certifies a state that
+    the PPT test detects too."""
+    rho = _random_mixed(rank, seed)
+    if maximize_violation(rho, "prop2", restarts=2, seed=seed).best_report.violated:
+        assert ppt_min_eigenvalue(rho) < -PSD_TOL
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_horodecki_ppt_entangled_state_is_ppt_and_never_violated(a):
+    """P. Horodecki, Phys. Lett. A 232, 333 (1997): entangled for 0 < a < 1
+    and PPT, so no admissible pair may read it as violated."""
+    rho = horodecki_3x3(a)
+    assert ppt_min_eigenvalue(rho) >= -PSD_TOL
+    for i0, i1 in itertools.permutations(range(3), 2):
+        report = srpt_evaluate(rho, *prop1_pair(rho.space, i0, i1), 0)
+        assert not report.violated, (i0, i1, report)
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -11,6 +11,7 @@ from srpt.hilbert import (
     density_from_pure,
     kron_all,
 )
+from srpt import states
 from srpt.search import maximize_violation
 from srpt.states import (
     _hop_generators,
@@ -291,6 +292,36 @@ def test_cat_norm_matches_analytic_formula():
     for alpha, beta, trunc in ((1.0, 1.0, 24), (0.5, 1.5, 24), (2.0, 2.0, 32)):
         plus = cat_state(alpha, beta, trunc)  # construction cross-checks the norm
         assert np.linalg.norm(plus.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def _coherent_reference(alpha, truncation):
+    """The recursion from the vacuum, c_0 = exp(-alpha^2/2), which underflows
+    from alpha of about 38.6 on."""
+    coeffs = np.zeros(truncation, dtype=complex)
+    coeffs[0] = math.exp(-0.5 * alpha * alpha)
+    for k in range(1, truncation):
+        coeffs[k] = coeffs[k - 1] * alpha / math.sqrt(k)
+    return coeffs
+
+
+@pytest.mark.parametrize("truncation", [2, 5, 16, 64, 128])
+def test_coherent_coefficients_match_the_recursion_from_the_vacuum(truncation):
+    """Wherever the reference is a normal float, the coefficients started at
+    the largest one agree with it to 1e-13 relative, and are 0 only where it is."""
+    for alpha in np.concatenate([np.linspace(-30.0, 30.0, 241), [0.0, 1e-300, 0.999, 1.001]]):
+        want = _coherent_reference(float(alpha), truncation)
+        got = states._coherent_coeffs(float(alpha), truncation)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-13 * np.abs(want[normal])), alpha
+        assert np.all(got[want == 0] == 0), alpha
+
+
+def test_cat_state_builds_where_the_vacuum_coefficient_underflows():
+    # exp(-40^2 / 2) = exp(-800) is below the smallest float; the mode holds
+    # alpha^2 = 1600 photons, and 2000 levels keep all but a negligible tail
+    psi = cat_state(40.0, 1.0, 2000)  # construction cross-checks the norm
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert np.argmax(np.abs(psi.amplitudes)) // 2000 in (1599, 1600)
 
 
 def test_cat_truncation_rule_enforced():
