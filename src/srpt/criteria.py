@@ -32,6 +32,7 @@ from .hilbert import (
     quadratures,
     real_part,
     require_same_space,
+    require_subsystem,
 )
 
 VIOLATION_TOL = 1e-9
@@ -125,16 +126,6 @@ def _residual(m: TermOperator, mg_sq: TermOperator, k: int) -> float:
     ||M||_F^2 = ||M^G||_F^2 = tr((M^G)^2), as M^G is Hermitian too."""
     defect = m.pt_square_defect(k, mg_sq)
     return defect / mg_sq.trace().real if defect else 0.0
-
-
-def _state_matrix(state: StateVector | DensityMatrix) -> np.ndarray:
-    """The density matrix of state as a raw array.  For a StateVector this is the
-    projector |psi><psi|, formed in O(d^2) without DensityMatrix's O(d^3)
-    validation: it is Hermitian, of trace |psi|^2 and positive semidefinite by
-    construction."""
-    if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
 
 
 def _admissibility(residual: float) -> AdmissibilityReport:
@@ -277,9 +268,19 @@ def srpt_evaluate(
 
 
 def ppt_min_eigenvalue(state: StateVector | DensityMatrix, k: int = 0) -> float:
-    """Smallest eigenvalue of the partial transpose of a DensityMatrix, or of the
-    projector of a StateVector; < -PSD_TOL certifies entanglement."""
-    return min_eigenvalue(partial_transpose_matrix(_state_matrix(state), state.space.dims, k))
+    """Smallest eigenvalue of the partial transpose at subsystem k; < -PSD_TOL
+    certifies entanglement.  A DensityMatrix is transposed and diagonalised.
+    A StateVector is never expanded: with Schmidt coefficients s_0 >= s_1 >= ...
+    across the (k | rest) cut, the partial transpose of |psi><psi| has
+    eigenvalues s_i^2, +-s_i s_j (i < j) and 0 (Peres, PRL 77, 1413 (1996)),
+    so this is -s_0 s_1 from one SVD, or 0.0 on a one-subsystem space."""
+    dims = state.space.dims
+    require_subsystem(dims, k)
+    if isinstance(state, DensityMatrix):
+        return min_eigenvalue(partial_transpose_matrix(state.matrix, dims, k))
+    amp = np.moveaxis(state.amplitudes.reshape(dims), k, 0).reshape(dims[k], -1)
+    s = np.linalg.svd(amp, compute_uv=False)
+    return -float(s[0] * s[1]) if len(s) > 1 else 0.0
 
 
 def duan_criterion(

@@ -204,8 +204,7 @@ class TermOperator:
 
     def _slot_of(self, k: int) -> int:
         """The slot holding subsystem k."""
-        if not 0 <= k < len(self.space.dims):
-            raise ValueError(f"subsystem index {k} out of range for dims {self.space.dims}")
+        require_subsystem(self.space.dims, k)
         return 0 if self._is_one_slot else k
 
     def __matmul__(self, other: "TermOperator") -> "TermOperator":
@@ -408,8 +407,7 @@ def partial_transpose_matrix(matrix: np.ndarray, dims: Sequence[int], k: int) ->
     on each matrix of a stack of shape (..., d, d)."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if not 0 <= k < n:
-        raise ValueError(f"subsystem index {k} out of range for dims {dims}")
+    require_subsystem(dims, k)
     d = math.prod(dims)
     lead = matrix.shape[:-2]
     if matrix.shape[-2:] != (d, d):
@@ -417,6 +415,12 @@ def partial_transpose_matrix(matrix: np.ndarray, dims: Sequence[int], k: int) ->
     t = matrix.reshape(lead + dims + dims)
     t = t.swapaxes(len(lead) + k, len(lead) + n + k)
     return np.ascontiguousarray(t.reshape(lead + (d, d)))
+
+
+def require_subsystem(dims: tuple[int, ...], k: int) -> None:
+    """Raise ValueError unless 0 <= k < len(dims); a negative k is not counted from the end."""
+    if not 0 <= k < len(dims):
+        raise ValueError(f"subsystem index {k} out of range for dims {dims}")
 
 
 def require_same_space(rho, m):

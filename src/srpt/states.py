@@ -16,10 +16,8 @@ from .hilbert import (
     DensityMatrix,
     HilbertSpace,
     StateVector,
-    density_from_pure,
     hermitian_eigensystem,
     kron_all,
-    mix,
 )
 
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -315,12 +313,9 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
     space = HilbertSpace(tuple(dims))
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
-    parts = []
+    acc = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for w in weights:
-        factors = []
-        for d in space.dims:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            factors.append(v / np.linalg.norm(v))
-        vec = kron_all([f.reshape(-1, 1) for f in factors]).reshape(-1)
-        parts.append((float(w), density_from_pure(StateVector(space, vec))))
-    return mix(parts)
+        factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in space.dims]
+        amp = StateVector(space, kron_all(v / np.linalg.norm(v) for v in factors)).amplitudes
+        acc += float(w) * np.outer(amp, amp.conj())
+    return DensityMatrix(space, acc)

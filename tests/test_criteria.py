@@ -26,7 +26,7 @@ from srpt.hilbert import (
     kron_all,
     partial_transpose_matrix,
 )
-from srpt.states import random_pure, random_separable, schmidt_state, werner
+from srpt.states import ghz, random_pure, random_separable, schmidt_state, werner
 from srpt.witnesses import (
     Prop2Params,
     cat_quadratures,
@@ -42,6 +42,7 @@ from helpers import assert_same_report, basis_state, kron_observable
 
 Q1 = HilbertSpace((2,))
 Q2 = HilbertSpace((2, 2))
+EPS = np.finfo(float).eps
 
 
 def rand_herm(rng, dim):
@@ -309,7 +310,8 @@ def test_pure_state_path_matches_the_density_path(seed, setting):
     assert_same_report(srpt_evaluate(psi, a, b, k).to_dict(),
                        srpt_evaluate(rho, a, b, k).to_dict())
     assert_same_report(sr_uncertainty(psi, a, b).to_dict(), sr_uncertainty(rho, a, b).to_dict())
-    assert ppt_min_eigenvalue(psi, k) == ppt_min_eigenvalue(rho, k)
+    ppt_gap = abs(ppt_min_eigenvalue(psi, k) - ppt_min_eigenvalue(rho, k))
+    assert ppt_gap <= 4 * psi.space.total_dim * EPS
     if len(dims) == 2:
         grid = [0.5, -1.3, 2.0]
         for got, want in zip(duan_criterion(psi, grid), duan_criterion(rho, grid)):
@@ -327,15 +329,18 @@ def test_report_rejects_a_state_on_another_space():
 
 
 def test_out_of_range_subsystem_is_rejected():
-    rho = density_from_pure(schmidt_state((1.0, 1.0), (2, 2)))
+    psi = schmidt_state((1.0, 1.0), (2, 2))
+    rho = density_from_pure(psi)
     a, b = prop1_pair(Q2, 0, 1)
-    message = r"subsystem index 2 out of range for dims \(2, 2\)"
-    for call in (lambda: srpt_evaluate(rho, a, b, 2),
-                 lambda: srpt_evaluate(rho, a, b, 2, check_admissibility=False),
-                 lambda: is_admissible(a, 2),
-                 lambda: ppt_min_eigenvalue(rho, 2)):
-        with pytest.raises(ValueError, match=message):
-            call()
+    for k in (2, -1):  # a negative index is rejected, not counted from the end
+        message = rf"subsystem index {k} out of range for dims \(2, 2\)"
+        for call in (lambda: srpt_evaluate(rho, a, b, k),
+                     lambda: srpt_evaluate(rho, a, b, k, check_admissibility=False),
+                     lambda: is_admissible(a, k),
+                     lambda: ppt_min_eigenvalue(rho, k),
+                     lambda: ppt_min_eigenvalue(psi, k)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_srpt_blind_to_ghz_type_states_with_bipartite_pairs():
@@ -385,6 +390,44 @@ def test_ppt_werner_crossing_at_one_third():
     bell = schmidt_state((1.0, 1.0), (2, 2))
     assert ppt_min_eigenvalue(werner(bell, 1 / 3 - 0.01)) > -1e-10
     assert ppt_min_eigenvalue(werner(bell, 1 / 3 + 0.01)) < -1e-10
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_ppt_of_a_two_qubit_schmidt_state_is_minus_its_coefficient_product(c0, c1):
+    psi = schmidt_state((c0, c1), (2, 2))
+    assert abs(ppt_min_eigenvalue(psi) + c0 * c1 / (c0 * c0 + c1 * c1)) <= 4 * EPS
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_ppt_of_ghz_is_minus_one_half_at_every_cut(n):
+    psi = ghz(n)
+    for k in range(n):
+        assert abs(ppt_min_eigenvalue(psi, k) + 0.5) <= 4 * EPS
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2)])
+def test_ppt_of_a_pure_product_state_is_not_negative(dims):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        local = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        psi = StateVector(HilbertSpace(dims), kron_all(v / np.linalg.norm(v) for v in local))
+        for k in range(len(dims)):
+            assert ppt_min_eigenvalue(psi, k) >= -4 * EPS
+
+
+def test_ppt_of_a_one_subsystem_pure_state_is_zero():
+    assert ppt_min_eigenvalue(StateVector(Q1, [0.6, 0.8j])) == 0.0
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+def test_ppt_of_a_state_vector_matches_its_density_matrix(seed, dims):
+    # the Schmidt route and the dense eigensolver are independent algorithms
+    psi = random_pure(dims, seed)
+    rho = density_from_pure(psi)
+    for k in range(len(dims)):
+        gap = abs(ppt_min_eigenvalue(psi, k) - ppt_min_eigenvalue(rho, k))
+        assert gap <= 4 * psi.space.total_dim * EPS
 
 
 # --- Duan criterion -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from srpt.hilbert import (
     density_from_pure,
     kron_all,
 )
-from srpt import states
+from srpt import hilbert, states
 from srpt.search import maximize_violation
 from srpt.states import (
     _hop_generators,
@@ -392,6 +392,17 @@ def test_random_factories_deterministic_per_seed():
                           random_separable((2, 2), 4, 7).matrix)
     with pytest.raises(ValueError):
         random_separable((2, 2), 0, 1)
+
+
+def test_random_separable_checks_each_term_vector_and_the_mixture_once(monkeypatch):
+    counts = {hilbert.StateVector: 0, hilbert.DensityMatrix: 0}
+    for cls in counts:
+        def counted(self, post_init=cls.__post_init__, cls=cls):
+            counts[cls] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    random_separable((2, 3), 4, 0)
+    assert counts == {hilbert.StateVector: 4, hilbert.DensityMatrix: 1}
 
 
 @settings(max_examples=100)
