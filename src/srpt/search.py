@@ -34,7 +34,7 @@ from .hilbert import (
     DensityMatrix,
     Observable,
     StateVector,
-    hermitian_eigensystem,
+    TermOperator,
     partial_transpose_matrix,
     require_same_space,
 )
@@ -342,13 +342,6 @@ def _maximize_prop2(rho: DensityMatrix, restarts: int, seed) -> SearchResult:
     return SearchResult(best.reshape(26), report, restarts)
 
 
-def _pure_vector(rho: DensityMatrix) -> StateVector:
-    vals, vecs = hermitian_eigensystem(rho.matrix)
-    if vals[-1] < 1.0 - 1e-9:
-        raise ValueError("the prop1 family needs a pure state (rank-1 density matrix)")
-    return StateVector(rho.space, vecs[:, -1])
-
-
 def schmidt_aligned_prop1(psi: StateVector, i0: int, i1: int) -> tuple[Observable, Observable]:
     """Projector/flip pair rotated into the local Schmidt frames of psi.
 
@@ -356,22 +349,35 @@ def schmidt_aligned_prop1(psi: StateVector, i0: int, i1: int) -> tuple[Observabl
     computational basis reproduces, term by term, the report of the plain
     pair on the Schmidt-form state: the partial transpose conjugates the
     first local frame, so the first factor is rotated by its conjugate.
+    The pair is |i0><i0| x |i1><i1| and X x X, X = |i0><i1| + |i1><i0|, so each
+    factor F is rotated alone, as the exactly Hermitian (F + F^dagger)/2.
     """
-    d1, d2 = psi.space.dims
-    u, _, vt = np.linalg.svd(psi.amplitudes.reshape(d1, d2))
-    a_std, b_std = prop1_pair(psi.space, i0, i1)
-    frame = np.kron(u.conj(), vt.T)
-    a = Observable(psi.space, frame @ a_std.matrix @ frame.conj().T)
-    b = Observable(psi.space, frame @ b_std.matrix @ frame.conj().T)
-    return a, b
+    _require_instance(psi, StateVector)
+    a_std, _ = prop1_pair(psi.space, i0, i1)
+    u, _, vt = np.linalg.svd(psi.amplitudes.reshape(psi.space.dims))
+    stacks = []  # per slot: the rotated projector factor, then the rotated X
+    for frame, projector in zip((u.conj(), vt.T), a_std.terms.factors):
+        f = np.concatenate([projector, np.zeros_like(projector)])
+        f[1, [i0, i1], [i1, i0]] = 1.0
+        r = frame @ f @ frame.conj().T
+        stacks.append(0.5 * (r + r.conj().swapaxes(1, 2)))
+    return tuple(Observable(psi.space, TermOperator(psi.space, a_std.terms.coeffs,
+                                                    [f[t:t + 1] for f in stacks])) for t in (0, 1))
 
 
 def _maximize_prop1(rho: DensityMatrix) -> SearchResult:
     """The checked report of the Schmidt-aligned pair at levels 0 and 1, which the
-    SVD gives the two largest coefficients: slack (s_0 s_1)^2 (Proposition 1)."""
+    SVD gives the two largest coefficients: slack (s_0 s_1)^2 (Proposition 1).
+    rho needs tr rho^2 >= 1 - 1e-9, a lower bound on its largest eigenvalue; psi, up to
+    a phase the pair cancels, is its normalised column with the largest diagonal entry."""
     if rho.space.num_subsystems != 2:
         raise ValueError(f"the prop1 family needs a bipartite space, got {rho.space.dims}")
-    report = srpt_evaluate(rho, *schmidt_aligned_prop1(_pure_vector(rho), 0, 1), 0)
+    m = rho.matrix
+    if np.vdot(m, m).real < 1.0 - 1e-9:
+        raise ValueError("the prop1 family needs a pure state (rank-1 density matrix)")
+    column = m[:, np.argmax(m.diagonal().real)]
+    psi = StateVector(rho.space, column / np.linalg.norm(column))
+    report = srpt_evaluate(rho, *schmidt_aligned_prop1(psi, 0, 1), 0)
     return SearchResult(np.array([0.0, 1.0]), report, 0)
 
 
@@ -388,10 +394,10 @@ def maximize_violation(
     PROP2_RISE_TOL of itself, or after PROP2_MAX_SWEEPS sweeps.  best_params
     holds the best pair's 26 Prop2Params values, with Pauli tables of unit
     norm and eta = 0, which does not change the slack; best_report is its
-    checked srpt_evaluate.  family "prop1": the projector/flip pair of a pure
-    bipartite state aligned with its two largest Schmidt coefficients, which
-    Proposition 1 makes the best pair of the family; one checked evaluation,
-    and restarts and seed are unused.
+    checked srpt_evaluate.  family "prop1": one checked evaluation of the
+    projector/flip pair at psi's two largest Schmidt coefficients, the best by
+    Proposition 1; psi is rho's normalised column with the largest diagonal
+    entry, and rho needs tr rho^2 >= 1 - 1e-9.  restarts and seed are unused.
     rho must be a DensityMatrix and restarts an int (not a bool), whatever
     the family; raises TypeError otherwise.
     """

@@ -13,7 +13,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from srpt import criteria, search
 from srpt.criteria import AdmissibilityError, is_admissible, ppt_min_eigenvalue, srpt_evaluate
-from srpt.hilbert import PSD_TOL, DensityMatrix, HilbertSpace, density_from_pure
+from srpt.hilbert import (
+    PSD_TOL,
+    DensityMatrix,
+    HilbertSpace,
+    TermOperator,
+    density_from_pure,
+    mix,
+)
 from srpt.search import (
     NoCrossingError,
     _bisect_crossing,
@@ -277,6 +284,68 @@ def test_prop1_search_compiles_one_witness_and_beats_every_level_pair(psi, monke
 def test_maximize_prop1_rejects_mixed_state():
     with pytest.raises(ValueError):
         maximize_violation(werner(BELL, 0.5), "prop1")
+
+
+@pytest.mark.parametrize("eps, pure_enough", [(1e-10, True), (8e-10, False), (2e-9, False)])
+def test_maximize_prop1_requires_purity_within_1e_9(eps, pure_enough):
+    """(1 - eps)|psi><psi| + eps|phi><phi| with phi orthogonal to psi has
+    tr rho^2 = 1 - 2 eps + 2 eps^2, which must be at least 1 - 1e-9."""
+    phi = schmidt_state((1.0, -1.0), (2, 2))
+    rho = mix([(1.0 - eps, density_from_pure(TILTED)), (eps, density_from_pure(phi))])
+    if pure_enough:
+        assert maximize_violation(rho, "prop1").best_report.violated
+    else:
+        with pytest.raises(ValueError, match="pure state"):
+            maximize_violation(rho, "prop1")
+
+
+def test_schmidt_aligned_prop1_rejects_a_density_matrix():
+    with pytest.raises(TypeError, match="expected StateVector, got DensityMatrix"):
+        search.schmidt_aligned_prop1(density_from_pure(TILTED), 0, 1)
+
+
+def _dense_frame_prop1(psi, i0, i1):
+    """The prop1 pair conjugated by the d x d frame kron(conj(U), V^T) from
+    the SVD of psi: the reference for schmidt_aligned_prop1."""
+    u, _, vt = np.linalg.svd(psi.amplitudes.reshape(psi.space.dims))
+    frame = np.kron(u.conj(), vt.T)
+    return [frame @ m.matrix @ frame.conj().T for m in prop1_pair(psi.space, i0, i1)]
+
+
+@given(st.sampled_from([(2, 2), (3, 3), (2, 5), (4, 6), (3, 7)]), st.integers(0, 2**31 - 1))
+@settings(max_examples=12, deadline=None)
+def test_schmidt_aligned_prop1_matches_the_dense_frame(dims, seed):
+    """Each observable is one product term whose factors are exactly
+    Hermitian, and its matrix is the dense-frame one within 8 eps per entry."""
+    psi = random_pure(dims, seed)
+    for i0, i1 in itertools.permutations(range(min(dims)), 2):
+        for obs, want in zip(search.schmidt_aligned_prop1(psi, i0, i1),
+                             _dense_frame_prop1(psi, i0, i1)):
+            assert len(obs.terms.coeffs) == 1 and len(obs.terms.factors) == 2
+            assert obs.terms.is_exactly_hermitian()
+            assert np.abs(obs.matrix - want).max() <= 8 * np.finfo(float).eps
+
+
+def test_prop1_search_forms_no_matrix_and_runs_no_eigh(monkeypatch):
+    rho = density_from_pure(random_pure((16, 16), 3))
+    schmidt_aligned = search.schmidt_aligned_prop1
+    used = []
+
+    def recording(psi, i0, i1):
+        pair = schmidt_aligned(psi, i0, i1)
+        used.extend(pair)
+        return pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d x d matrix or eigensystem was formed")
+
+    monkeypatch.setattr(search, "schmidt_aligned_prop1", recording)
+    monkeypatch.setattr(TermOperator, "matrix", property(refuse))
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert maximize_violation(rho, "prop1").best_report.violated
+    assert len(used) == 2
+    for obs in used:
+        assert len(obs.terms.coeffs) == 1 and len(obs.terms.factors) == 2
 
 
 def test_maximize_rejects_unknown_family_and_space():

@@ -496,7 +496,7 @@ def test_large_witnesses_are_checked_for_hermiticity_without_a_matrix(monkeypatc
     cat_quadratures(0.3, -0.7, 1.1, 0.2, 256)
 
 
-@pytest.mark.parametrize("dims", [(5, 5), (8, 8)])
+@pytest.mark.parametrize("dims", [(5, 5), (8, 8), (16, 16), (3, 7)])
 def test_checked_schmidt_aligned_prop1_pairs_pass(dims):
     from srpt.search import schmidt_aligned_prop1
     from srpt.states import random_pure
